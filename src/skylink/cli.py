@@ -341,6 +341,7 @@ def cmd_predict(args) -> int:
         raise DomainError(
             f"model expects {net.input_dim} features per row, got {features.shape[1]}"
         )
+    values = net.predict(features)
     outside = np.any(
         (features < net.norm.x_min) | (features > net.norm.x_max), axis=1
     )
@@ -350,9 +351,8 @@ def cmd_predict(args) -> int:
             "range; extrapolating",
             int(outside.sum()), features.shape[0],
         )
-    for row in features:
-        value = net.predict(row)
-        print(_fmt(float(value[0])))
+    for value in values[:, 0]:
+        print(_fmt(float(value)))
     return 0
 
 

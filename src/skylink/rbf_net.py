@@ -11,12 +11,20 @@ variant whose weight update carries the opposite sign (it ascends E) and
 whose center update divides by delta_j instead of delta_j^2; it is retained
 for comparison experiments. Features and targets are min-max normalized to
 [0, 1]; statistics come from the training split only.
+
+Training packs the parameters into one (K + d + 1, m) block for K outputs,
+d inputs and m hidden units: K weight rows, d center-coordinate rows and one
+span row. The step kernel reads one copy of the block and writes the other.
+Its floating-point operations and their order are the artifact contract:
+model.json and training_report.csv stay byte-identical only while a step
+evaluates exactly as the reference loop in tests/test_rbf_net.py does.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,6 +40,8 @@ SPAN_FLOOR = 1e-6  # keeps the 1/delta and 1/delta^2 update terms finite
 UPDATE_MODES = ("derived_gradient", "paper_literal")
 
 MODEL_FORMAT_VERSION = 1
+
+PREDICT_CHUNK = 128  # rows per (rows, m, d) temporary in predict; bounds peak RSS
 
 
 @dataclass
@@ -53,16 +63,11 @@ class RbfConfig:
     update_mode: str = "derived_gradient"
 
     def __post_init__(self):
-        if self.m_hidden < 1:
-            raise ConfigurationError(f"m_hidden must be >= 1, got {self.m_hidden}")
-        if self.input_dim < 1:
-            raise ConfigurationError(f"input_dim must be >= 1, got {self.input_dim}")
-        if self.output_dim < 1:
-            raise ConfigurationError(
-                f"output_dim must be >= 1, got {self.output_dim}"
-            )
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("m_hidden", "input_dim", "output_dim", "epochs"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(
+                    f"{name} must be >= 1, got {getattr(self, name)}"
+                )
         for name in ("tau_w", "tau_mu", "tau_delta"):
             v = getattr(self, name)
             if v is None:
@@ -93,6 +98,14 @@ def _minmax_stats(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mins[degenerate] -= 0.5
     maxs[degenerate] += 0.5
     return mins, maxs
+
+
+def _check_finite(data: np.ndarray, what: str, error=ConfigurationError) -> None:
+    """Raise ``error`` naming the first NaN or infinity of a row array."""
+    if not np.isfinite(data).all():
+        rows = data.reshape(len(data), -1)
+        r, c = np.argwhere(~np.isfinite(rows))[0]
+        raise error(f"non-finite {what} at row {r}, column {c}: {rows[r, c]}")
 
 
 @dataclass
@@ -183,12 +196,15 @@ class RbfNetwork:
             )
         return x
 
+    def _activations(self, xn: np.ndarray) -> np.ndarray:
+        """Gaussian unit responses, one row per normalized input row."""
+        diff = xn[:, None, :] - self.centers
+        q = (diff * diff).sum(axis=2) / (2.0 * self.spans * self.spans)
+        return np.exp(-q)
+
     def hidden_activations(self, x: np.ndarray) -> np.ndarray:
         """Gaussian unit responses z_j in (0, 1] for a normalized input."""
-        x = self._check_x(x)
-        diff = x - self.centers
-        q = (diff * diff).sum(axis=1) / (2.0 * self.spans * self.spans)
-        return np.exp(-q)
+        return self._activations(self._check_x(x)[None, :])[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Normalized outputs Y_k = sum_j W_kj z_j."""
@@ -207,10 +223,13 @@ class RbfNetwork:
             raise DomainError(
                 f"expected rows of {self.input_dim} features, got shape {raw.shape}"
             )
+        _check_finite(rows, "feature", DomainError)
         out = np.empty((rows.shape[0], self.output_dim))
-        for i, row in enumerate(rows):
-            xn = self.norm.normalize_features(row)
-            out[i] = self.norm.denormalize_targets(self.forward(xn))
+        for start in range(0, rows.shape[0], PREDICT_CHUNK):
+            xn = self.norm.normalize_features(rows[start:start + PREDICT_CHUNK])
+            # per-row W @ z: a batched Z @ W.T sums in another order
+            y = np.array([self.weights @ z for z in self._activations(xn)])
+            out[start:start + len(xn)] = self.norm.denormalize_targets(y)
         return out[0] if single else out
 
     def copy(self) -> "RbfNetwork":
@@ -218,9 +237,8 @@ class RbfNetwork:
             self.norm.x_min.copy(), self.norm.x_max.copy(),
             self.norm.y_min.copy(), self.norm.y_max.copy(),
         )
-        return RbfNetwork(
-            self.centers.copy(), self.spans.copy(), self.weights.copy(), norm
-        )
+        # the constructor copies the parameter arrays
+        return RbfNetwork(self.centers, self.spans, self.weights, norm)
 
 
 @dataclass
@@ -270,6 +288,7 @@ def init_network(config: RbfConfig, training_inputs: np.ndarray) -> RbfNetwork:
         raise ConfigurationError(
             f"need at least m_hidden={config.m_hidden} training rows, got {n}"
         )
+    _check_finite(inputs, "training feature")
     x_min, x_max = _minmax_stats(inputs)
     norm = NormStats(
         x_min, x_max,
@@ -295,57 +314,61 @@ def init_network(config: RbfConfig, training_inputs: np.ndarray) -> RbfNetwork:
     return RbfNetwork(centers, spans, weights, norm)
 
 
-def _apply_step(
-    net: RbfNetwork, x: np.ndarray, d: np.ndarray, config: RbfConfig
-) -> np.ndarray:
-    """One per-sample update from the pre-step state; returns pre-update e."""
-    x = net._check_x(x)
-    d = np.asarray(d, dtype=float)
-    if d.shape != (net.output_dim,):
-        raise DomainError(
-            f"expected target vector of length {net.output_dim}, got shape {d.shape}"
-        )
-    diff = x - net.centers  # (m, dim)
-    spans = net.spans
-    q = (diff * diff).sum(axis=1) / (2.0 * spans * spans)
-    z = np.exp(-q)  # (m,); ln z = -q
-    e = d - net.weights @ z
-    coef = e @ net.weights  # sum_k e_k W_kj per hidden unit
+def _forward(w, centers, spans, x, d) -> tuple:
+    """Terms (diff, -q, z, e, coef) of one sample; -q = ln z, coef_j = e @ W_:j.
 
-    if config.update_mode == "derived_gradient":
-        w_sign = 1.0
-        center_rate = z / (spans * spans)
-    else:
-        w_sign = -1.0
-        center_rate = z / spans
+    diff is C-ordered even for the block's transposed centers: the row sums
+    of an F-ordered array run in another order once d >= 8. And
+    s / -(2 delta^2) equals -(s / (2 delta^2)) in every bit.
+    """
+    diff = np.subtract(x, centers, order="C")
+    neg_q = np.add.reduce(diff * diff, 1) / (-2.0 * spans * spans)
+    z = np.exp(neg_q)
+    e = d - w @ z
+    return diff, neg_q, z, e, e @ w
 
-    # zero-rate parameter classes stay frozen; skipping their arithmetic
-    # keeps them exact and out of divergence blame (0 * inf is nan)
-    new_w = net.weights
-    if config.tau_w != 0.0:
-        new_w = net.weights + w_sign * config.tau_w * np.outer(e, z)
-    new_centers = net.centers
-    if config.tau_mu != 0.0:
-        new_centers = (
-            net.centers + config.tau_mu * (center_rate * coef)[:, None] * diff
-        )
-    new_spans = spans
-    tau_d = config.effective_tau_delta
-    if tau_d != 0.0:
-        new_spans = np.maximum(
-            spans - 2.0 * tau_d * (z / spans) * (-q) * coef, SPAN_FLOOR
-        )
 
-    if not np.all(np.isfinite(new_w)):
-        raise TrainingDivergedError("weights")
-    if not np.all(np.isfinite(new_centers)):
-        raise TrainingDivergedError("centers")
-    if not np.all(np.isfinite(new_spans)):
-        raise TrainingDivergedError("spans")
-    net.weights = new_w
-    net.centers = new_centers
-    net.spans = new_spans
-    return e
+def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, sq: np.ndarray) -> None:
+    """Per-sample SGD over rows ``order`` of X, Y; sq[i] = e @ e before row i.
+
+    Works on two C-ordered copies of the packed block: a step reads one and
+    writes the other with ``out=``, then they swap. Zero-rate classes are
+    never written, so they stay exact and out of divergence blame (0 * inf
+    is nan). The current block goes back into ``net`` on exit, so after a
+    divergence ``net`` holds the last finite parameters.
+    """
+    k, d = net.output_dim, net.input_dim
+    blocks = np.empty((2, k + d + 1, net.m_hidden))
+    blocks[:] = np.concatenate([net.weights, net.centers.T, net.spans[None, :]])
+    cur, nxt = ((b, b[:k], b[k:k + d].T, b[k + d]) for b in blocks)
+    derived = config.update_mode == "derived_gradient"
+    w_rate = (1.0 if derived else -1.0) * config.tau_w
+    tau_mu = config.tau_mu
+    span_rate = 2.0 * config.effective_tau_delta
+    try:
+        for i in order:
+            _, w, centers, spans = cur
+            block, w1, centers1, spans1 = nxt
+            diff, neg_q, z, e, coef = _forward(w, centers, spans, X[i], Y[i])
+            if w_rate != 0.0:
+                np.add(w, w_rate * (e[:, None] * z), out=w1)
+            if tau_mu != 0.0:
+                rate = z / (spans * spans) if derived else z / spans
+                np.add(centers, tau_mu * (rate * coef)[:, None] * diff, out=centers1)
+            if span_rate != 0.0:
+                step = spans - span_rate * (z / spans) * neg_q * coef
+                np.maximum(step, SPAN_FLOOR, out=spans1)
+            # a finite sum proves every entry finite; a sum that overflows
+            # on finite entries is no divergence
+            if not math.isfinite(block.sum()):
+                for name, part in zip(("weights", "centers", "spans"), nxt[1:]):
+                    if not np.isfinite(part).all():
+                        raise TrainingDivergedError(name)
+            sq[i] = e.dot(e)
+            cur, nxt = nxt, cur
+    finally:
+        _, w, centers, spans = cur
+        net.weights, net.centers, net.spans = w.copy(), centers.copy(), spans.copy()
 
 
 def train_step(
@@ -363,7 +386,13 @@ def train_step(
     update by delta_j instead of delta_j^2; the span rule is shared. All
     updates read the pre-step state; spans are floored at 1e-6 afterwards.
     """
-    _apply_step(net, x, d, config)
+    x = net._check_x(x)
+    d = np.asarray(d, dtype=float)
+    if d.shape != (net.output_dim,):
+        raise DomainError(
+            f"expected target vector of length {net.output_dim}, got shape {d.shape}"
+        )
+    _sgd(net, [x], [d], (0,), config, np.empty(1))
     return net
 
 
@@ -399,6 +428,13 @@ def train(
     if X.shape[0] == 0:
         raise ConfigurationError("training set is empty")
 
+    checks = [(X, "training feature"), (Y, "training target")]
+    if validation is not None:
+        Xv, Yv = (np.asarray(a, dtype=float) for a in validation)
+        checks += [(Xv, "validation feature"), (Yv, "validation target")]
+    for data, what in checks:
+        _check_finite(data, what)
+
     y_min, y_max = _minmax_stats(Y)
     net.norm.y_min, net.norm.y_max = y_min, y_max
     Xn = net.norm.normalize_features(X)
@@ -407,25 +443,21 @@ def train(
     rng = np.random.default_rng(config.seed)
     report = TrainReport()
     sq = np.empty(X.shape[0])
+    rows, targets = list(Xn), list(Yn)  # list indexing is cheaper per step
     for epoch in range(config.epochs):
-        order = rng.permutation(X.shape[0])
-        for i in order:
-            try:
-                e = _apply_step(net, Xn[i], Yn[i], config)
-            except TrainingDivergedError as exc:
-                raise TrainingDivergedError(exc.parameter_class, epoch) from None
-            # reduce in index order so the reported MSE does not pick up
-            # ulp-level noise from the per-epoch visit order
-            sq[i] = float(e @ e)
+        order = rng.permutation(X.shape[0]).tolist()
+        try:
+            _sgd(net, rows, targets, order, config, sq)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(exc.parameter_class, epoch) from None
+        # sq is indexed by row, so the mean does not pick up ulp-level
+        # noise from the per-epoch visit order
         report.mse_per_epoch.append(float(np.mean(sq)))
 
-    pred = net.predict(X)
-    pred_norm = net.norm.normalize_targets(pred.reshape(Y.shape))
-    report.final_train_rmse_norm = _rmse(pred_norm - Yn)
-    report.final_train_rmse_db = _rmse(pred.reshape(Y.shape) - Y)
+    pred = net.predict(X)  # (n, output_dim), the shape of Y
+    report.final_train_rmse_norm = _rmse(net.norm.normalize_targets(pred) - Yn)
+    report.final_train_rmse_db = _rmse(pred - Y)
     if validation is not None:
-        Xv = np.asarray(validation[0], dtype=float)
-        Yv = np.asarray(validation[1], dtype=float)
         pv = net.predict(Xv).reshape(Yv.shape)
         report.final_val_rmse_db = _rmse(pv - Yv)
         report.final_val_rmse_norm = _rmse(
@@ -437,23 +469,6 @@ def train(
 def _objective(net: RbfNetwork, x: np.ndarray, d: np.ndarray) -> float:
     e = d - net.forward(x)
     return 0.5 * float(e @ e)
-
-
-def _analytic_gradients(
-    net: RbfNetwork, x: np.ndarray, d: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of E = 1/2 sum e^2 w.r.t. weights, centers, spans."""
-    x = net._check_x(x)
-    diff = x - net.centers
-    spans = net.spans
-    q = (diff * diff).sum(axis=1) / (2.0 * spans * spans)
-    z = np.exp(-q)
-    e = np.asarray(d, dtype=float) - net.weights @ z
-    coef = e @ net.weights
-    g_w = -np.outer(e, z)
-    g_mu = -((z / (spans * spans)) * coef)[:, None] * diff
-    g_delta = -(2.0 * z / spans) * q * coef  # ln z = -q
-    return g_w, g_mu, g_delta
 
 
 # Gradient entries below this magnitude are compared absolutely at this
@@ -474,9 +489,13 @@ def gradient_check(
     if not (1e-9 < epsilon < 1e-3):
         raise DomainError(f"epsilon must be in (1e-9, 1e-3), got {epsilon}")
     x, d = sample
-    x = np.asarray(x, dtype=float)
+    x = net._check_x(x)
     d = np.asarray(d, dtype=float)
-    g_w, g_mu, g_delta = _analytic_gradients(net, x, d)
+    spans = net.spans
+    diff, neg_q, z, e, coef = _forward(net.weights, net.centers, spans, x, d)
+    g_w = -np.outer(e, z)
+    g_mu = -((z / (spans * spans)) * coef)[:, None] * diff
+    g_delta = (2.0 * z / spans) * neg_q * coef
 
     worst = 0.0
     work = net.copy()
@@ -509,17 +528,7 @@ def save_model(path: str, net: RbfNetwork, config: RbfConfig) -> None:
     """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "config": {
-            "m_hidden": config.m_hidden,
-            "input_dim": config.input_dim,
-            "output_dim": config.output_dim,
-            "tau_w": config.tau_w,
-            "tau_mu": config.tau_mu,
-            "tau_delta": config.tau_delta,
-            "epochs": config.epochs,
-            "seed": config.seed,
-            "update_mode": config.update_mode,
-        },
+        "config": asdict(config),  # field order is the key order
         "norm_stats": {
             "x_min": net.norm.x_min.tolist(),
             "x_max": net.norm.x_max.tolist(),
@@ -557,18 +566,8 @@ def load_model(path: str) -> tuple[RbfNetwork, RbfConfig]:
     try:
         config = RbfConfig(**doc["config"])
         stats = doc["norm_stats"]
-        norm = NormStats(
-            np.array(stats["x_min"], dtype=float),
-            np.array(stats["x_max"], dtype=float),
-            np.array(stats["y_min"], dtype=float),
-            np.array(stats["y_max"], dtype=float),
-        )
-        net = RbfNetwork(
-            np.array(doc["centers"], dtype=float),
-            np.array(doc["spans"], dtype=float),
-            np.array(doc["weights"], dtype=float),
-            norm,
-        )
+        norm = NormStats(stats["x_min"], stats["x_max"], stats["y_min"], stats["y_max"])
+        net = RbfNetwork(doc["centers"], doc["spans"], doc["weights"], norm)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model document: {exc}") from exc
     return net, config

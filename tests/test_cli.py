@@ -159,6 +159,21 @@ class TestTrain:
         assert proc.returncode == 0
         assert "paper_literal" in proc.stderr
 
+    def test_non_finite_target_rejected(self, workspace):
+        dataset = generate(workspace)
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        fields = lines[5].split(",")
+        fields[-1] = "nan"
+        lines[5] = ",".join(fields)
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tmp, cfg = workspace
+        proc = run_cli("train", "--config", str(cfg), str(dataset), cwd=tmp)
+        assert proc.returncode == 2
+        errors = proc.stderr.strip().splitlines()
+        assert len(errors) == 1 and errors[0].startswith("error: non-finite")
+        assert "target" in errors[0]
+        assert not (tmp / "out" / "model.json").exists()
+
     def test_missing_dataset_file(self, workspace):
         tmp, cfg = workspace
         proc = run_cli("train", "--config", str(cfg), "nope.csv", cwd=tmp)
@@ -219,6 +234,17 @@ class TestPredict:
         )
         assert proc.returncode == 0
         assert "outside" in proc.stderr
+
+    def test_non_finite_row_rejected(self, workspace):
+        dataset = generate(workspace)
+        model_path, _ = train(workspace, dataset)
+        tmp, _ = workspace
+        for row in ("nan,100.0,2000.0,105.0", "500.0,100.0,inf,105.0"):
+            proc = run_cli("predict", str(model_path), "--row", row, cwd=tmp)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            lines = proc.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: non-finite")
 
     def test_wrong_arity_row(self, workspace):
         dataset = generate(workspace)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skylink import (
     ConfigurationError,
@@ -24,6 +25,7 @@ from skylink import (
     train,
     train_step,
 )
+from skylink.rbf_net import PREDICT_CHUNK
 
 
 def identity_norm(input_dim, output_dim=1):
@@ -48,6 +50,101 @@ def random_net(rng, m=4, input_dim=3, output_dim=2):
     spans = rng.uniform(0.2, 1.5, size=m)
     weights = rng.uniform(-1.0, 1.0, size=(output_dim, m))
     return RbfNetwork(centers, spans, weights, identity_norm(input_dim, output_dim))
+
+
+def reference_step(net, x, d, config):
+    """One per-sample update written out term by term; returns the pre-step e.
+
+    This is the reference for the training kernel: the kernel must perform
+    these floating-point operations in this order, so that trained models
+    stay byte-identical. Zero-rate classes are skipped, as 0 * inf is nan.
+    """
+    diff = x - net.centers
+    spans = net.spans
+    q = (diff * diff).sum(axis=1) / (2.0 * spans * spans)
+    z = np.exp(-q)
+    e = d - net.weights @ z
+    coef = e @ net.weights
+    if config.update_mode == "derived_gradient":
+        w_sign, center_rate = 1.0, z / (spans * spans)
+    else:
+        w_sign, center_rate = -1.0, z / spans
+    new_w, new_centers, new_spans = net.weights, net.centers, spans
+    if config.tau_w != 0.0:
+        new_w = net.weights + w_sign * config.tau_w * np.outer(e, z)
+    if config.tau_mu != 0.0:
+        new_centers = (
+            net.centers + config.tau_mu * (center_rate * coef)[:, None] * diff
+        )
+    tau_d = config.effective_tau_delta
+    if tau_d != 0.0:
+        new_spans = np.maximum(
+            spans - 2.0 * tau_d * (z / spans) * (-q) * coef, SPAN_FLOOR
+        )
+    for name, value in (
+        ("weights", new_w), ("centers", new_centers), ("spans", new_spans)
+    ):
+        if not np.all(np.isfinite(value)):
+            raise TrainingDivergedError(name)
+    net.weights, net.centers, net.spans = new_w, new_centers, new_spans
+    return e
+
+
+def reference_train(net, X, Y, config):
+    """Plain epoch loop of reference_step; returns the per-epoch MSE list."""
+    y_min, y_max = Y.min(axis=0), Y.max(axis=0)
+    flat = y_max - y_min <= 0.0
+    y_min[flat] -= 0.5
+    y_max[flat] += 0.5
+    net.norm.y_min, net.norm.y_max = y_min, y_max
+    Xn = net.norm.normalize_features(X)
+    Yn = net.norm.normalize_targets(Y)
+    rng = np.random.default_rng(config.seed)
+    mse, sq = [], np.empty(len(X))
+    for epoch in range(config.epochs):
+        for i in rng.permutation(len(X)):
+            try:
+                e = reference_step(net, Xn[i], Yn[i], config)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(exc.parameter_class, epoch) from None
+            sq[i] = float(e @ e)
+        mse.append(float(np.mean(sq)))
+    return mse
+
+
+def assert_same_parameters(a, b):
+    np.testing.assert_array_equal(a.weights, b.weights, strict=True)
+    np.testing.assert_array_equal(a.centers, b.centers, strict=True)
+    np.testing.assert_array_equal(a.spans, b.spans, strict=True)
+
+
+def assert_zero_rates_frozen(net, initial, config):
+    for rate, name in (
+        (config.tau_w, "weights"), (config.tau_mu, "centers"),
+        (config.effective_tau_delta, "spans"),
+    ):
+        if rate == 0.0:
+            np.testing.assert_array_equal(getattr(net, name), getattr(initial, name))
+
+
+@st.composite
+def training_cases(draw):
+    """A random network, raw data set and config, rates zero or positive."""
+    m = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 9))  # row sums of 8+ terms run pairwise
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(m, m + 8))
+    rate = st.sampled_from([0.0, 1e-3, 0.05, 0.5])
+    config = RbfConfig(
+        m_hidden=m, input_dim=dim, output_dim=k,
+        tau_w=draw(rate), tau_mu=draw(rate), tau_delta=draw(rate),
+        epochs=draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**16)),
+        update_mode=draw(st.sampled_from(["derived_gradient", "paper_literal"])),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.uniform(0.0, 100.0, size=(n, dim))
+    Y = rng.uniform(-120.0, -40.0, size=(n, k))
+    return init_network(config, X), X, Y, config
 
 
 class TestActivations:
@@ -192,6 +289,34 @@ class TestTrainStep:
         config = RbfConfig(m_hidden=1, input_dim=1)
         with pytest.raises(DomainError):
             train_step(net, np.array([0.5]), np.array([1.0, 2.0]), config)
+
+
+class TestKernelMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(training_cases())
+    def test_train_is_bitwise_reference(self, case):
+        net, X, Y, config = case
+        initial, ref = net.copy(), net.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            mse = reference_train(ref, X, Y, config)
+            net, report = train(net, X, Y, config)
+        assert_same_parameters(net, ref)
+        assert report.mse_per_epoch == mse
+        assert_zero_rates_frozen(net, initial, config)
+
+    @settings(max_examples=60, deadline=None)
+    @given(training_cases())
+    def test_train_step_is_bitwise_reference(self, case):
+        net, X, Y, config = case
+        initial, ref = net.copy(), net.copy()
+        Xn = net.norm.normalize_features(X)
+        Yn = Y / 100.0 + 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x, d in zip(Xn, Yn):
+                reference_step(ref, x, d, config)
+                train_step(net, x, d, config)
+                assert_same_parameters(net, ref)
+        assert_zero_rates_frozen(net, initial, config)
 
 
 class TestGradientCheck:
@@ -405,6 +530,47 @@ class TestTrain:
         assert report.final_val_rmse_db is None
         assert report.final_val_rmse_norm is None
 
+    def test_centers_divergence_keeps_last_finite_parameters(self):
+        # One sample at the unit's center: diff stays 0 and the ascending
+        # paper_literal weights grow 1.5x per step until the center step
+        # overflows (inf * 0 is nan) while the weights are still finite.
+        X, Y = np.array([[7.0]]), np.array([[-80.0]])
+        config = RbfConfig(
+            m_hidden=1, input_dim=1, tau_w=0.5, tau_mu=1e300, tau_delta=0.0,
+            epochs=100, seed=0, update_mode="paper_literal",
+        )
+        net = init_network(config, X)
+        ref = net.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as want:
+                reference_train(ref, X, Y, config)
+            with pytest.raises(TrainingDivergedError) as got:
+                train(net, X, Y, config)
+        assert got.value.parameter_class == want.value.parameter_class == "centers"
+        assert got.value.epoch == want.value.epoch > 10
+        assert_same_parameters(net, ref)
+        assert abs(net.weights[0, 0]) > 1e3
+
+    def test_spans_divergence_keeps_last_finite_parameters(self):
+        # with so large a span rate a span step overflows in the first
+        # epoch, after the weights have taken finite steps
+        X, Y = toy_problem()
+        config = RbfConfig(
+            m_hidden=6, input_dim=2, tau_w=0.1, tau_mu=0.0, tau_delta=1e304,
+            epochs=5, seed=7,
+        )
+        net = init_network(config, X)
+        initial, ref = net.copy(), net.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as want:
+                reference_train(ref, X, Y, config)
+            with pytest.raises(TrainingDivergedError) as got:
+                train(net, X, Y, config)
+        assert got.value.parameter_class == want.value.parameter_class == "spans"
+        assert got.value.epoch == want.value.epoch == 0
+        assert_same_parameters(net, ref)
+        assert not np.array_equal(net.weights, initial.weights)
+
     def test_divergence_reports_epoch_and_parameters(self):
         X, Y = toy_problem()
         config = RbfConfig(
@@ -526,3 +692,72 @@ class TestPredict:
         net, _ = train(init_network(config, X), X, Y, config)
         with pytest.raises(DomainError):
             net.predict(np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("output_dim", [1, 2])
+    def test_batch_matches_row_loop_across_chunks(self, output_dim):
+        rng = np.random.default_rng(17)
+        net = random_net(rng, m=5, input_dim=3, output_dim=output_dim)
+        net.norm = NormStats(
+            np.array([0.0, 10.0, -5.0]), np.array([100.0, 50.0, 5.0]),
+            np.full(output_dim, -120.0), np.full(output_dim, -40.0),
+        )
+        n = 2 * PREDICT_CHUNK + 37
+        X = rng.uniform([-10.0, 0.0, -6.0], [110.0, 60.0, 6.0], size=(n, 3))
+        batch = net.predict(X)
+        rows = []
+        for x in X:  # the per-row loop predict replaced
+            xn = net.norm.normalize_features(x)
+            diff = xn - net.centers
+            q = (diff * diff).sum(axis=1) / (2.0 * net.spans * net.spans)
+            rows.append(net.norm.denormalize_targets(net.weights @ np.exp(-q)))
+        np.testing.assert_array_equal(batch, np.stack(rows), strict=True)
+        np.testing.assert_array_equal(
+            batch, np.stack([net.predict(x) for x in X]), strict=True
+        )
+
+
+class TestNonFiniteInput:
+    def config(self):
+        return RbfConfig(m_hidden=6, input_dim=2, epochs=2, seed=3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_train_names_first_bad_target(self, bad):
+        X, Y = toy_problem()
+        Y[[3, 9], 0] = bad
+        net = init_network(self.config(), X)
+        with pytest.raises(ConfigurationError) as excinfo:
+            train(net, X, Y, self.config())
+        assert f"training target at row 3, column 0: {bad}" in str(excinfo.value)
+
+    def test_train_names_first_bad_feature(self):
+        X, Y = toy_problem()
+        net = init_network(self.config(), X)
+        X[5, 1] = math.inf
+        with pytest.raises(ConfigurationError) as excinfo:
+            train(net, X, Y, self.config())
+        assert "training feature at row 5, column 1: inf" in str(excinfo.value)
+        with pytest.raises(ConfigurationError) as excinfo:
+            init_network(self.config(), X)
+        assert "training feature at row 5, column 1: inf" in str(excinfo.value)
+
+    def test_train_checks_validation_before_training(self):
+        X, Y = toy_problem()
+        Yv = Y[:4, 0].copy()  # one column may come flat
+        Yv[2] = math.nan
+        net = init_network(self.config(), X)
+        before = net.copy()
+        with pytest.raises(ConfigurationError) as excinfo:
+            train(net, X, Y, self.config(), validation=(X[:4], Yv))
+        assert "validation target at row 2, column 0: nan" in str(excinfo.value)
+        assert_same_parameters(net, before)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_predict_rejects(self, bad):
+        X, Y = toy_problem()
+        net, _ = train(init_network(self.config(), X), X, Y, self.config())
+        with pytest.raises(DomainError, match="non-finite feature at row 0, column 1"):
+            net.predict(np.array([0.5, bad]))
+        batch = np.full((4, 2), 0.5)
+        batch[2, 0] = bad
+        with pytest.raises(DomainError, match="row 2, column 0"):
+            net.predict(batch)
