@@ -18,6 +18,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+from .errors import ConfigurationError, DomainError, FitError, SchemaError
+
 logger = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 2.99792458e8  # m/s
@@ -28,12 +30,19 @@ HATA_FREQ_RANGE_MHZ = (150.0, 1500.0)
 HATA_BASE_HEIGHT_RANGE_M = (30.0, 200.0)
 HATA_MOBILE_HEIGHT_RANGE_M = (1.0, 10.0)
 
-PLOS_MODELS = ("product", "holis", "sigmoid")
+# P_LoS models by name, each mapping (env, theta_deg, h, r, rx_height_m) to a
+# probability. Entries look the model function up when called, so a module
+# attribute replaced at run time (a test double, a tracer) is what runs.
+PLOS = {
+    "product": lambda env, theta, h, r, rx: plos_product(env, h, rx, r),
+    "holis": lambda env, theta, h, r, rx: plos_holis(env, theta),
+    "sigmoid": lambda env, theta, h, r, rx: plos_sigmoid(env, theta),
+}
+PLOS_MODELS = tuple(PLOS)
+PL_MODELS = ("hata", "a2g_mean")
 
 
 def _require_finite(name: str, value: float) -> float:
-    from .errors import DomainError
-
     v = float(value)
     if not math.isfinite(v):
         raise DomainError(f"{name} must be finite, got {value!r}")
@@ -67,8 +76,6 @@ class Environment:
     sigmoid: tuple[float, float] | None = None
 
     def __post_init__(self):
-        from .errors import ConfigurationError
-
         if self.c is not None:
             object.__setattr__(self, "c", tuple(float(v) for v in self.c))
         if self.sigmoid is not None:
@@ -128,8 +135,6 @@ def load_environments(path: str) -> dict[str, Environment]:
     Optional keys: c (array of 5 numbers), sigmoid (object with keys a, b).
     Any other key is a schema error, as is a duplicate name.
     """
-    from .errors import SchemaError
-
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -155,29 +160,14 @@ def load_environments(path: str) -> dict[str, Environment]:
                 f"{path}: entry {i} has unknown keys {sorted(unknown)}"
             )
         c = item.get("c")
-        if c is not None:
-            if not isinstance(c, list) or len(c) != 5:
-                raise SchemaError(
-                    f"{path}: entry {i}: c must be an array of 5 numbers"
-                )
-            c = tuple(float(v) for v in c)
+        if c is not None and (not isinstance(c, list) or len(c) != 5):
+            raise SchemaError(f"{path}: entry {i}: c must be an array of 5 numbers")
         sig = item.get("sigmoid")
-        if sig is not None:
-            if not isinstance(sig, dict) or set(sig) != {"a", "b"}:
-                raise SchemaError(
-                    f"{path}: entry {i}: sigmoid must be an object with keys a, b"
-                )
-            sig = (float(sig["a"]), float(sig["b"]))
-        env = Environment(
-            name=str(item["name"]),
-            alpha=float(item["alpha"]),
-            beta=float(item["beta"]),
-            gamma=float(item["gamma"]),
-            eps_los_db=float(item["eps_los_db"]),
-            eps_nlos_db=float(item["eps_nlos_db"]),
-            c=c,
-            sigmoid=sig,
-        )
+        if sig is not None and (not isinstance(sig, dict) or set(sig) != {"a", "b"}):
+            raise SchemaError(
+                f"{path}: entry {i}: sigmoid must be an object with keys a, b"
+            )
+        env = environment_from_dict(item)
         if env.name in envs:
             raise SchemaError(f"{path}: duplicate environment name {env.name!r}")
         envs[env.name] = env
@@ -230,8 +220,6 @@ class LinkGeometry:
     r: float
 
     def __post_init__(self):
-        from .errors import DomainError
-
         _require_finite("h", self.h)
         _require_finite("r", self.r)
         if self.h < 0.0 or self.r < 0.0:
@@ -264,8 +252,6 @@ def ground_distance_for_angle(h: float, theta_deg: float) -> float:
     Inverts theta = atan(h / r) to r = h / tan(theta). theta = 0 maps to
     infinity, theta = 90 to zero.
     """
-    from .errors import DomainError
-
     h = _require_finite("h", h)
     theta_deg = _require_finite("theta_deg", theta_deg)
     if h <= 0.0:
@@ -297,8 +283,6 @@ class HataParams:
     h_m: float
 
     def __post_init__(self):
-        from .errors import DomainError
-
         for name in ("f_mhz", "h_b", "h_m"):
             v = _require_finite(name, getattr(self, name))
             if v <= 0.0:
@@ -332,8 +316,6 @@ def hata_path_loss(params: HataParams, d_km: float) -> float:
     A = 69.55 + 26.16 log10(f) - 13.82 log10(h_b) - a(h_m)
     B = 44.9 - 6.55 log10(h_b)
     """
-    from .errors import DomainError
-
     d_km = _require_finite("d_km", d_km)
     if d_km <= 0.0:
         raise DomainError(f"d_km must be > 0, got {d_km}")
@@ -359,8 +341,6 @@ class A2GParams:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
-        from .errors import DomainError
-
         if _require_finite("f_c", self.f_c) <= 0.0:
             raise DomainError(f"f_c must be > 0, got {self.f_c}")
         if _require_finite("c", self.c) <= 0.0:
@@ -373,8 +353,6 @@ def free_space_path_loss(f_c: float, d: float) -> float:
     f_c in Hz, d in metres. Zero dB at d = c / (4 pi f_c); each doubling of
     d adds 20 log10(2) dB.
     """
-    from .errors import DomainError
-
     f_c = _require_finite("f_c", f_c)
     d = _require_finite("d", d)
     if f_c <= 0.0 or d <= 0.0:
@@ -419,8 +397,6 @@ def plos_product(
     (m + 1), reproducing a variant without the per-building position
     scaling; "canonical" is the default.
     """
-    from .errors import ConfigurationError, DomainError
-
     h_t = _require_finite("h_t", h_t)
     h_r = _require_finite("h_r", h_r)
     if not math.isfinite(r) and not (math.isinf(r) and r > 0):
@@ -462,8 +438,6 @@ def plos_holis(env: Environment, theta_deg: float) -> float:
     returns the low-angle asymptote c2. Values outside [0, 1] (possible
     for extreme parameters) are clamped with a logged diagnostic.
     """
-    from .errors import ConfigurationError, DomainError
-
     theta_deg = _require_finite("theta_deg", theta_deg)
     if env.c is None:
         raise ConfigurationError(
@@ -495,8 +469,6 @@ def plos_sigmoid(env: Environment, theta_deg: float) -> float:
     Strictly increasing in theta for a, b > 0; a acts both as the curve
     coefficient and as the angle offset.
     """
-    from .errors import ConfigurationError, DomainError
-
     theta_deg = _require_finite("theta_deg", theta_deg)
     if env.sigmoid is None:
         raise ConfigurationError(
@@ -528,8 +500,6 @@ def fit_sigmoid(samples: list[tuple[float, float]]) -> tuple[float, float]:
     must be distinct and plos strictly inside (0, 1).
     """
     import numpy as np
-
-    from .errors import FitError
 
     if len(samples) < 3:
         raise FitError(f"need at least 3 samples, got {len(samples)}")
@@ -563,6 +533,15 @@ def fit_sigmoid(samples: list[tuple[float, float]]) -> tuple[float, float]:
     return best_a, best_b
 
 
+def _plos_fn(plos_model: str):
+    """The PLOS entry of a model name; ConfigurationError if unknown."""
+    if plos_model not in PLOS_MODELS:
+        raise ConfigurationError(
+            f"unknown plos model {plos_model!r}; expected one of {PLOS_MODELS}"
+        )
+    return PLOS[plos_model]
+
+
 def mean_path_loss(
     params: A2GParams,
     geom: LinkGeometry,
@@ -577,18 +556,72 @@ def mean_path_loss(
     distance with the given receiver height. Always lies between the LoS
     and NLoS branches.
     """
-    from .errors import ConfigurationError
-
-    if plos_model == "sigmoid":
-        p = plos_sigmoid(params.env, elevation_angle(geom))
-    elif plos_model == "holis":
-        p = plos_holis(params.env, elevation_angle(geom))
-    elif plos_model == "product":
-        p = plos_product(params.env, geom.h, rx_height_m, geom.r)
-    else:
-        raise ConfigurationError(
-            f"unknown plos model {plos_model!r}; expected one of {PLOS_MODELS}"
-        )
+    p = _plos_fn(plos_model)(
+        params.env, elevation_angle(geom), geom.h, geom.r, rx_height_m
+    )
     pl_los = a2g_path_loss(params, geom, los=True)
     pl_nlos = a2g_path_loss(params, geom, los=False)
     return p * pl_los + (1.0 - p) * pl_nlos
+
+
+def _channel_rows(
+    env: Environment,
+    geometries: list[tuple[float, float]],
+    f_mhz: float,
+    pl_model: str,
+    plos_model: str,
+    rx_height_m: float,
+) -> tuple[list[float], list[float]]:
+    """Path loss and P_LoS of every (h, r) row of a dataset, in one pass.
+
+    Returns, bit for bit, what mean_path_loss ("a2g_mean") or hata_path_loss
+    of the slant range ("hata") and the P_LoS model return row by row: every
+    operation keeps their order and uses math.*, not numpy ufuncs, which
+    round differently in the last bit. P_LoS is evaluated once per row (the
+    product model once per altitude and building count), Hata parameters
+    once per altitude. A row's DomainError is raised again prefixed "row {i}: ".
+    """
+    plos_fn = _plos_fn(plos_model)
+    if pl_model not in PL_MODELS:
+        raise ConfigurationError(
+            f"unknown path loss model {pl_model!r}; expected one of {PL_MODELS}"
+        )
+    if plos_model == "product":
+        # plos_product depends on r only through the building count m,
+        # computed here exactly as there (r is finite in a valid row).
+        sqrt_ab = math.sqrt(env.alpha * env.beta)
+        by_count: dict[tuple[float, int], float] = {}
+
+        def product_by_count(env, theta, h, r, rx):
+            key = (h, math.floor((r / 1000.0) * sqrt_ab - 1.0))
+            p = by_count.get(key)
+            if p is None:
+                p = by_count[key] = plos_product(env, h, rx, r)
+            return p
+
+        plos_fn = product_by_count
+    eps_los, eps_nlos = env.eps_los_db, env.eps_nlos_db
+    hata: dict[float, HataParams] = {}
+    pl_out, plos_out = [], []
+    i = 0
+    try:
+        if pl_model == "a2g_mean":
+            k = 4.0 * math.pi * A2GParams(f_c=f_mhz * 1e6, env=env).f_c
+        for i, (h, r) in enumerate(geometries):
+            if not (0.0 <= h < math.inf and 0.0 <= r < math.inf) or h == r == 0.0:
+                LinkGeometry(h=h, r=r)  # raises the DomainError naming the fault
+            p = plos_fn(env, math.degrees(math.atan2(h, r)), h, r, rx_height_m)
+            d = math.hypot(r, h)
+            if pl_model == "a2g_mean":
+                base = 20.0 * math.log10(k * d / SPEED_OF_LIGHT)
+                pl = p * (base + eps_los) + (1.0 - p) * (base + eps_nlos)
+            else:
+                hp = hata.get(h)
+                if hp is None:
+                    hp = hata[h] = HataParams(f_mhz=f_mhz, h_b=h, h_m=rx_height_m)
+                pl = hata_path_loss(hp, d / 1000.0)
+            pl_out.append(pl)
+            plos_out.append(p)
+    except DomainError as exc:
+        raise DomainError(f"row {i}: {exc}") from exc
+    return pl_out, plos_out

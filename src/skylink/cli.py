@@ -10,6 +10,7 @@ sets the log level.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import logging
@@ -142,13 +143,7 @@ def _budget(cfg: RunConfig, seed_override: int | None) -> datagen.LinkBudget:
             raise
         raise cfg.fail("budget", f"malformed budget block: {exc}") from exc
     if seed_override is not None:
-        budget = datagen.LinkBudget(
-            tx_power_dbm=budget.tx_power_dbm,
-            tx_gain_dbi=budget.tx_gain_dbi,
-            rx_gain_dbi=budget.rx_gain_dbi,
-            fading=budget.fading,
-            seed=seed_override,
-        )
+        budget = dataclasses.replace(budget, seed=seed_override)
     return budget
 
 
@@ -420,15 +415,6 @@ def _plos_columns(env: cm.Environment) -> list[str]:
     return cols
 
 
-def _plos_value(env: cm.Environment, model: str, theta: float, h: float, rx: float):
-    if model == "plos_product":
-        r = cm.ground_distance_for_angle(h, theta)
-        return cm.plos_product(env, h, rx, r)
-    if model == "plos_holis":
-        return cm.plos_holis(env, theta)
-    return cm.plos_sigmoid(env, theta)
-
-
 def _curve_plos_angle(cfg: RunConfig, out: str) -> list[str]:
     envs = _load_environments(cfg)
     h = float(cfg.get("curves.uav_height_m", 100.0))
@@ -437,11 +423,13 @@ def _curve_plos_angle(cfg: RunConfig, out: str) -> list[str]:
     written = []
     for env in envs.values():
         cols = _plos_columns(env)
+        models = [cm.PLOS[c.removeprefix("plos_")] for c in cols]
         rows = []
         for theta in thetas:
-            rows.append(
-                [theta] + [_plos_value(env, c, theta, h, rx) for c in cols]
-            )
+            # The angle models take theta itself: theta -> r -> theta would
+            # not round-trip bit for bit.
+            r = cm.ground_distance_for_angle(h, theta)
+            rows.append([theta] + [plos(env, theta, h, r, rx) for plos in models])
         path = os.path.join(out, f"plos_angle_{_safe_name(env.name)}.csv")
         comments = [
             _provenance(cfg),

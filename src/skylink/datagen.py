@@ -27,7 +27,6 @@ from .fading import RicianParams
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
 
 FADING_KINDS = ("off", "rician", "gaussian_shadow")
-PL_MODELS = ("hata", "a2g_mean")
 
 DEFAULT_ALTITUDES_M = tuple(float(h) for h in range(20, 201, 20))
 DEFAULT_GROUND_DISTANCE_M = 500.0
@@ -162,41 +161,6 @@ def budget_from_dict(data: dict) -> LinkBudget:
     )
 
 
-def _row_channel(
-    env: cm.Environment,
-    h_m: float,
-    d_m: float,
-    f_mhz: float,
-    pl_model: str,
-    plos_model: str,
-    rx_height_m: float,
-) -> tuple[float, float]:
-    """Path loss and P_LoS for one geometry under the selected models."""
-    geom = cm.LinkGeometry(h=h_m, r=d_m)
-    theta = cm.elevation_angle(geom)
-    if plos_model == "sigmoid":
-        plos = cm.plos_sigmoid(env, theta)
-    elif plos_model == "holis":
-        plos = cm.plos_holis(env, theta)
-    elif plos_model == "product":
-        plos = cm.plos_product(env, geom.h, rx_height_m, geom.r)
-    else:
-        raise ConfigurationError(
-            f"unknown plos model {plos_model!r}; expected one of {cm.PLOS_MODELS}"
-        )
-    if pl_model == "a2g_mean":
-        params = cm.A2GParams(f_c=f_mhz * 1e6, env=env)
-        pl = cm.mean_path_loss(params, geom, plos_model, rx_height_m=rx_height_m)
-    elif pl_model == "hata":
-        hp = cm.HataParams(f_mhz=f_mhz, h_b=h_m, h_m=rx_height_m)
-        pl = cm.hata_path_loss(hp, cm.slant_distance(geom) / 1000.0)
-    else:
-        raise ConfigurationError(
-            f"unknown path loss model {pl_model!r}; expected one of {PL_MODELS}"
-        )
-    return pl, plos
-
-
 def _generate(
     scenario: str,
     env: cm.Environment,
@@ -208,19 +172,16 @@ def _generate(
     rx_height_m: float,
     metadata: dict,
 ) -> Dataset:
+    path_loss, plos = cm._channel_rows(
+        env, geometries, f_mhz, pl_model, plos_model, rx_height_m
+    )
     samples = []
-    for i, (h_m, d_m) in enumerate(geometries):
-        try:
-            pl, plos = _row_channel(
-                env, h_m, d_m, f_mhz, pl_model, plos_model, rx_height_m
-            )
-        except DomainError as exc:
-            raise DomainError(f"row {i}: {exc}") from exc
+    for i, ((h_m, d_m), pl) in enumerate(zip(geometries, path_loss)):
         rss = rss_from_path_loss(budget, pl, fading_draw_db(budget, i))
         samples.append(
             Sample(
-                index=i, scenario=scenario, d_m=float(d_m), h_m=float(h_m),
-                f_mhz=float(f_mhz), pl_db=pl, plos=plos, rss_dbm=rss,
+                index=i, scenario=scenario, d_m=d_m, h_m=h_m,
+                f_mhz=float(f_mhz), pl_db=pl, plos=plos[i], rss_dbm=rss,
             )
         )
     return Dataset(samples=samples, metadata=metadata)
@@ -363,10 +324,6 @@ def features_targets(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _format(value: float) -> str:
-    return repr(float(value))
-
-
 def metadata_path_for(csv_path: str) -> str:
     """Sidecar JSON path: same basename with a .json extension."""
     stem, _ = os.path.splitext(csv_path)
@@ -380,14 +337,13 @@ def write_dataset(dataset: Dataset, csv_path: str) -> str:
     endings are line feeds.
     """
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for s in dataset.samples:
-            writer.writerow([
-                s.index, s.scenario, _format(s.d_m), _format(s.h_m),
-                _format(s.f_mhz), _format(s.pl_db), _format(s.plos),
-                _format(s.rss_dbm),
-            ])
+        fh.write(",".join(CSV_HEADER) + "\n")
+        fh.writelines(
+            f"{s.index},{s.scenario},{float(s.d_m)!r},{float(s.h_m)!r},"
+            f"{float(s.f_mhz)!r},{float(s.pl_db)!r},{float(s.plos)!r},"
+            f"{float(s.rss_dbm)!r}\n"
+            for s in dataset.samples
+        )
     sidecar = metadata_path_for(csv_path)
     with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(dataset.metadata, fh, indent=2)
@@ -428,6 +384,10 @@ def read_dataset(csv_path: str) -> Dataset:
                 raise SchemaError(
                     f"{csv_path}:{lineno}: PLOS {sample.plos} outside [0, 1]"
                 )
+            if not math.isfinite(
+                sample.d_m + sample.h_m + sample.f_mhz + sample.pl_db + sample.rss_dbm
+            ):
+                _reject_non_finite(csv_path, lineno, row)
             if sample.index in seen:
                 raise SchemaError(
                     f"{csv_path}:{lineno}: duplicate index {sample.index}"
@@ -440,8 +400,25 @@ def read_dataset(csv_path: str) -> Dataset:
     sidecar = metadata_path_for(csv_path)
     if os.path.exists(sidecar):
         with open(sidecar, encoding="utf-8") as fh:
-            metadata = json.load(fh)
+            try:
+                metadata = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise SchemaError(
+                    f"{sidecar}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+                ) from exc
     return Dataset(samples=samples, metadata=metadata)
+
+
+def _reject_non_finite(csv_path: str, lineno: int, row: list[str]) -> None:
+    """Raise for a row's first nan/inf field (a row of finite fields whose
+    sum overflowed passes)."""
+    for col in (2, 3, 4, 5, 7):
+        if not math.isfinite(float(row[col])):
+            role = "target" if CSV_HEADER[col] == "RSS_dBm" else "feature"
+            raise SchemaError(
+                f"non-finite {role} {CSV_HEADER[col]}={row[col]} "
+                f"at {csv_path}:{lineno}"
+            )
 
 
 def write_curve_csv(
@@ -455,7 +432,7 @@ def write_curve_csv(
         writer.writerow(header)
         for row in rows:
             writer.writerow([
-                _format(v) if isinstance(v, float) else v for v in row
+                repr(float(v)) if isinstance(v, float) else v for v in row
             ])
 
 

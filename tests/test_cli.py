@@ -326,6 +326,33 @@ class TestEval:
         proc = run_cli("eval", str(model_path), "nope.csv", cwd=tmp)
         assert proc.returncode == 2
 
+    def test_non_finite_dataset_field_rejected(self, workspace):
+        dataset = generate(workspace)
+        model_path, _ = train(workspace, dataset)
+        lines = dataset.read_text(encoding="utf-8").splitlines()
+        fields = lines[5].split(",")
+        fields[-1] = "nan"
+        lines[5] = ",".join(fields)
+        dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tmp, _ = workspace
+        proc = run_cli("eval", str(model_path), str(dataset), cwd=tmp)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        errors = proc.stderr.strip().splitlines()
+        assert errors == [f"error: non-finite target RSS_dBm=nan at {dataset}:6"]
+
+    def test_malformed_sidecar_rejected(self, workspace):
+        dataset = generate(workspace)
+        model_path, _ = train(workspace, dataset)
+        sidecar = dataset.with_suffix(".json")
+        sidecar.write_text("{bad", encoding="utf-8")
+        tmp, _ = workspace
+        proc = run_cli("eval", str(model_path), str(dataset), cwd=tmp)
+        assert proc.returncode == 2
+        errors = proc.stderr.strip().splitlines()
+        assert len(errors) == 1
+        assert errors[0].startswith(f"error: {sidecar}:1:2: invalid JSON: ")
+
 
 class TestCurves:
     def test_rician_series(self, workspace):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skylink import (
     A2GParams,
@@ -27,8 +30,11 @@ from skylink import (
     gen_distance_sweep,
     generate_from_metadata,
     hata_path_loss,
+    load_environments,
     mean_path_loss,
     metadata_path_for,
+    plos_holis,
+    plos_product,
     plos_sigmoid,
     read_curve_csv,
     read_dataset,
@@ -38,6 +44,7 @@ from skylink import (
     write_curve_csv,
     write_dataset,
 )
+from skylink import channel_models
 
 
 class TestLinkBudget:
@@ -238,6 +245,144 @@ class TestAltitudeWaypoints:
             gen_altitude_waypoints(urban, altitudes=[50.0, -10.0])
 
 
+SHIPPED_ENVS = list(load_environments(str(
+    Path(__file__).resolve().parents[1] / "configs" / "environments.example.json"
+)).values())
+
+
+def scalar_row(env, h, r, f_mhz, pl_model, plos_model, rx):
+    """(path loss, P_LoS) of one row through the public scalar functions,
+    validated in the kernel's order: geometry, P_LoS, path-loss model."""
+    geom = LinkGeometry(h=h, r=r)
+    if plos_model == "sigmoid":
+        plos = plos_sigmoid(env, elevation_angle(geom))
+    elif plos_model == "holis":
+        plos = plos_holis(env, elevation_angle(geom))
+    else:
+        plos = plos_product(env, h, rx, r)
+    if pl_model == "a2g_mean":
+        params = A2GParams(f_c=f_mhz * 1e6, env=env)
+        return mean_path_loss(params, geom, plos_model, rx_height_m=rx), plos
+    hp = HataParams(f_mhz=f_mhz, h_b=h, h_m=rx)
+    return hata_path_loss(hp, slant_distance(geom) / 1000.0), plos
+
+
+@st.composite
+def channel_cases(draw):
+    """Rows sharing a few altitudes (r = 0 and small h included), so that
+    product P_LoS evaluations are reused across rows."""
+    altitudes = draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(1e-3, 3.0), st.floats(3.0, 1500.0)),
+        min_size=1, max_size=3,
+    ))
+    distance = st.one_of(st.just(0.0), st.floats(0.0, 6000.0))
+    rows = draw(st.lists(
+        st.tuples(st.sampled_from(altitudes), distance), min_size=1, max_size=25
+    ))
+    return (
+        draw(st.sampled_from(SHIPPED_ENVS)),
+        rows,
+        draw(st.floats(100.0, 6000.0)),
+        draw(st.sampled_from(("a2g_mean", "hata"))),
+        draw(st.sampled_from(("sigmoid", "holis", "product"))),
+        draw(st.floats(0.5, 3.0)),
+    )
+
+
+class TestChannelRows:
+    """The one-pass row kernel against the scalar public functions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(channel_cases())
+    def test_equals_scalar_functions(self, case):
+        env, geometries, *rest = case
+        want, error = [], None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for i, (h, r) in enumerate(geometries):
+                try:
+                    want.append(scalar_row(env, h, r, *rest))
+                except DomainError as exc:
+                    error = f"row {i}: {exc}"
+                    break
+            if error is None:
+                pl, plos = channel_models._channel_rows(*case)
+                assert list(zip(pl, plos)) == want
+            else:
+                with pytest.raises(DomainError) as excinfo:
+                    channel_models._channel_rows(*case)
+                assert str(excinfo.value) == error
+
+    def test_product_evaluated_once_per_building_count(self, monkeypatch, dense_urban):
+        calls = []
+        real = channel_models.plos_product
+
+        def counting(env, h_t, h_r, r, mode="canonical"):
+            calls.append((h_t, r))
+            return real(env, h_t, h_r, r, mode)
+
+        monkeypatch.setattr(channel_models, "plos_product", counting)
+        distances = [float(d) for d in np.linspace(50.0, 5000.0, 2000)]
+        gen_distance_sweep(dense_urban, 100.0, distances, plos_model="product")
+        sqrt_ab = math.sqrt(dense_urban.alpha * dense_urban.beta)
+        counts = {math.floor((r / 1000.0) * sqrt_ab - 1.0) for r in distances}
+        assert len(calls) == len(counts) == 62
+        calls.clear()
+        gen_altitude_waypoints(
+            dense_urban, [50.0, 100.0, 50.0, 150.0, 100.0], plos_model="product"
+        )
+        assert [h for h, _ in calls] == [50.0, 100.0, 150.0]
+
+    def test_hata_params_built_once_per_altitude(self, monkeypatch, urban):
+        built = []
+        real = channel_models.HataParams
+
+        def counting(**kwargs):
+            built.append(kwargs["h_b"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(channel_models, "HataParams", counting)
+        gen_altitude_waypoints(
+            urban, [50.0, 100.0, 50.0, 100.0], f_mhz=900.0, pl_model="hata"
+        )
+        assert built == [50.0, 100.0]
+
+    @pytest.mark.parametrize("pl_model", ["a2g_mean", "hata"])
+    @pytest.mark.parametrize("plos_model", ["sigmoid", "holis", "product"])
+    @pytest.mark.parametrize("geometries, message", [
+        ([(100.0, 50.0), (math.nan, 10.0)], "row 1: h must be finite, got nan"),
+        ([(100.0, 50.0), (100.0, math.inf)], "row 1: r must be finite, got inf"),
+        (
+            [(100.0, 50.0), (100.0, 60.0), (100.0, -5.0)],
+            "row 2: geometry requires h >= 0 and r >= 0, got h=100.0, r=-5.0",
+        ),
+        ([(0.0, 0.0)], "row 0: geometry requires h + r > 0 (zero slant range)"),
+    ])
+    def test_bad_row_is_named(self, urban, pl_model, plos_model, geometries, message):
+        with pytest.raises(DomainError) as excinfo:
+            channel_models._channel_rows(
+                urban, geometries, 900.0, pl_model, plos_model, 1.5
+            )
+        assert str(excinfo.value) == message
+
+    def test_nan_distance_names_the_row(self, urban):
+        with pytest.raises(DomainError, match=r"^row 1: r must be finite, got nan$"):
+            gen_distance_sweep(urban, 100.0, [200.0, math.nan])
+
+    def test_unknown_models_rejected_before_any_row(self, urban):
+        bad_row = [(math.nan, 0.0)]
+        with pytest.raises(ConfigurationError) as excinfo:
+            channel_models._channel_rows(urban, bad_row, 900.0, "a2g_mean", "x", 1.5)
+        assert str(excinfo.value) == (
+            "unknown plos model 'x'; expected one of ('product', 'holis', 'sigmoid')"
+        )
+        with pytest.raises(ConfigurationError) as excinfo:
+            channel_models._channel_rows(urban, bad_row, 900.0, "x", "sigmoid", 1.5)
+        assert str(excinfo.value) == (
+            "unknown path loss model 'x'; expected one of ('hata', 'a2g_mean')"
+        )
+
+
 class TestSplit:
     def make_dataset(self, urban, n=10):
         distances = [float(d) for d in np.linspace(100.0, 1000.0, n)]
@@ -382,6 +527,52 @@ class TestDatasetIO:
         with pytest.raises(SchemaError) as excinfo:
             read_dataset(path)
         assert "duplicate" in str(excinfo.value)
+
+    @pytest.mark.parametrize("column", ["D_m", "H_m", "F_MHz", "PL_dB", "RSS_dBm"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_field(self, tmp_path, urban, column, value):
+        ds = gen_distance_sweep(urban, 100.0, [200.0, 700.0])
+        path = tmp_path / "data.csv"
+        write_dataset(ds, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split(",")
+        fields[CSV_HEADER.index(column)] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            read_dataset(path)
+        role = "target" if column == "RSS_dBm" else "feature"
+        assert str(excinfo.value) == (
+            f"non-finite {role} {column}={value} at {path}:3"
+        )
+
+    def test_finite_fields_with_overflowing_sum_pass(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(
+            ",".join(CSV_HEADER) + "\n0,distance_sweep,1e308,1e308,1e308,"
+            "1e308,0.5,1e308\n", encoding="utf-8",
+        )
+        assert read_dataset(path).samples[0].rss_dbm == 1e308
+
+    def test_rejects_malformed_sidecar(self, tmp_path, urban):
+        ds = gen_distance_sweep(urban, 100.0, [200.0, 700.0])
+        path = tmp_path / "data.csv"
+        sidecar = write_dataset(ds, path)
+        Path(sidecar).write_text("{bad", encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            read_dataset(path)
+        assert str(excinfo.value).startswith(f"{sidecar}:1:2: invalid JSON: ")
+
+    def test_rows_are_repr_fields(self, tmp_path, urban):
+        ds = gen_distance_sweep(urban, 100.0, [200.0, 700.0])
+        path = tmp_path / "data.csv"
+        write_dataset(ds, path)
+        s = ds.samples[1]
+        assert path.read_text(encoding="utf-8").splitlines()[2] == ",".join([
+            "1", "distance_sweep", *(repr(v) for v in (
+                s.d_m, s.h_m, s.f_mhz, s.pl_db, s.plos, s.rss_dbm
+            )),
+        ])
 
     def test_rejects_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
