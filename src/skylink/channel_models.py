@@ -160,14 +160,29 @@ def load_environments(path: str) -> dict[str, Environment]:
                 f"{path}: entry {i} has unknown keys {sorted(unknown)}"
             )
         c = item.get("c")
-        if c is not None and (not isinstance(c, list) or len(c) != 5):
-            raise SchemaError(f"{path}: entry {i}: c must be an array of 5 numbers")
+        if c is not None:
+            if not isinstance(c, list) or len(c) != 5:
+                raise SchemaError(
+                    f"{path}: entry {i}: c must be an array of 5 numbers"
+                )
+            c = tuple(float(v) for v in c)
         sig = item.get("sigmoid")
-        if sig is not None and (not isinstance(sig, dict) or set(sig) != {"a", "b"}):
-            raise SchemaError(
-                f"{path}: entry {i}: sigmoid must be an object with keys a, b"
-            )
-        env = environment_from_dict(item)
+        if sig is not None:
+            if not isinstance(sig, dict) or set(sig) != {"a", "b"}:
+                raise SchemaError(
+                    f"{path}: entry {i}: sigmoid must be an object with keys a, b"
+                )
+            sig = (float(sig["a"]), float(sig["b"]))
+        env = Environment(
+            name=str(item["name"]),
+            alpha=float(item["alpha"]),
+            beta=float(item["beta"]),
+            gamma=float(item["gamma"]),
+            eps_los_db=float(item["eps_los_db"]),
+            eps_nlos_db=float(item["eps_nlos_db"]),
+            c=c,
+            sigmoid=sig,
+        )
         if env.name in envs:
             raise SchemaError(f"{path}: duplicate environment name {env.name!r}")
         envs[env.name] = env
@@ -578,8 +593,8 @@ def _channel_rows(
     of the slant range ("hata") and the P_LoS model return row by row: every
     operation keeps their order and uses math.*, not numpy ufuncs, which
     round differently in the last bit. P_LoS is evaluated once per row (the
-    product model once per altitude and building count), Hata parameters
-    once per altitude. A row's DomainError is raised again prefixed "row {i}: ".
+    product model once per altitude and building count). A row's
+    DomainError is raised again prefixed "row {i}: ".
     """
     plos_fn = _plos_fn(plos_model)
     if pl_model not in PL_MODELS:
@@ -594,14 +609,12 @@ def _channel_rows(
 
         def product_by_count(env, theta, h, r, rx):
             key = (h, math.floor((r / 1000.0) * sqrt_ab - 1.0))
-            p = by_count.get(key)
-            if p is None:
-                p = by_count[key] = plos_product(env, h, rx, r)
-            return p
+            if key not in by_count:
+                by_count[key] = plos_product(env, h, rx, r)
+            return by_count[key]
 
         plos_fn = product_by_count
     eps_los, eps_nlos = env.eps_los_db, env.eps_nlos_db
-    hata: dict[float, HataParams] = {}
     pl_out, plos_out = [], []
     i = 0
     try:
@@ -616,9 +629,7 @@ def _channel_rows(
                 base = 20.0 * math.log10(k * d / SPEED_OF_LIGHT)
                 pl = p * (base + eps_los) + (1.0 - p) * (base + eps_nlos)
             else:
-                hp = hata.get(h)
-                if hp is None:
-                    hp = hata[h] = HataParams(f_mhz=f_mhz, h_b=h, h_m=rx_height_m)
+                hp = HataParams(f_mhz=f_mhz, h_b=h, h_m=rx_height_m)
                 pl = hata_path_loss(hp, d / 1000.0)
             pl_out.append(pl)
             plos_out.append(p)

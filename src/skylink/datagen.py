@@ -13,6 +13,7 @@ so row order and parallel generation cannot change the output.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -175,15 +176,14 @@ def _generate(
     path_loss, plos = cm._channel_rows(
         env, geometries, f_mhz, pl_model, plos_model, rx_height_m
     )
-    samples = []
-    for i, ((h_m, d_m), pl) in enumerate(zip(geometries, path_loss)):
-        rss = rss_from_path_loss(budget, pl, fading_draw_db(budget, i))
-        samples.append(
-            Sample(
-                index=i, scenario=scenario, d_m=d_m, h_m=h_m,
-                f_mhz=float(f_mhz), pl_db=pl, plos=plos[i], rss_dbm=rss,
-            )
+    samples = [
+        Sample(
+            index=i, scenario=scenario, d_m=d_m, h_m=h_m, f_mhz=float(f_mhz),
+            pl_db=pl, plos=p,
+            rss_dbm=rss_from_path_loss(budget, pl, fading_draw_db(budget, i)),
         )
+        for i, ((h_m, d_m), pl, p) in enumerate(zip(geometries, path_loss, plos))
+    ]
     return Dataset(samples=samples, metadata=metadata)
 
 
@@ -330,16 +330,24 @@ def metadata_path_for(csv_path: str) -> str:
     return stem + ".json"
 
 
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it among other fields (quoted if needed)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_dataset(dataset: Dataset, csv_path: str) -> str:
     """Write the CSV and its JSON metadata sidecar; returns sidecar path.
 
     Floats are written in repr form (shortest exact round-trip), line
-    endings are line feeds.
+    endings are line feeds; the bytes are those of csv.writer.
     """
+    scenarios = {sc: _csv_field(sc) for sc in {s.scenario for s in dataset.samples}}
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         fh.writelines(
-            f"{s.index},{s.scenario},{float(s.d_m)!r},{float(s.h_m)!r},"
+            f"{s.index},{scenarios[s.scenario]},{float(s.d_m)!r},{float(s.h_m)!r},"
             f"{float(s.f_mhz)!r},{float(s.pl_db)!r},{float(s.plos)!r},"
             f"{float(s.rss_dbm)!r}\n"
             for s in dataset.samples
@@ -386,8 +394,14 @@ def read_dataset(csv_path: str) -> Dataset:
                 )
             if not math.isfinite(
                 sample.d_m + sample.h_m + sample.f_mhz + sample.pl_db + sample.rss_dbm
-            ):
-                _reject_non_finite(csv_path, lineno, row)
+            ):  # one nan/inf field, or finite fields whose sum overflowed
+                for col in (2, 3, 4, 5, 7):
+                    if not math.isfinite(float(row[col])):
+                        role = "target" if col == 7 else "feature"
+                        raise SchemaError(
+                            f"{csv_path}:{lineno}: non-finite {role} "
+                            f"{CSV_HEADER[col]}={row[col]}"
+                        )
             if sample.index in seen:
                 raise SchemaError(
                     f"{csv_path}:{lineno}: duplicate index {sample.index}"
@@ -407,18 +421,6 @@ def read_dataset(csv_path: str) -> Dataset:
                     f"{sidecar}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
                 ) from exc
     return Dataset(samples=samples, metadata=metadata)
-
-
-def _reject_non_finite(csv_path: str, lineno: int, row: list[str]) -> None:
-    """Raise for a row's first nan/inf field (a row of finite fields whose
-    sum overflowed passes)."""
-    for col in (2, 3, 4, 5, 7):
-        if not math.isfinite(float(row[col])):
-            role = "target" if CSV_HEADER[col] == "RSS_dBm" else "feature"
-            raise SchemaError(
-                f"non-finite {role} {CSV_HEADER[col]}={row[col]} "
-                f"at {csv_path}:{lineno}"
-            )
 
 
 def write_curve_csv(

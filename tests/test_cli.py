@@ -170,8 +170,7 @@ class TestTrain:
         proc = run_cli("train", "--config", str(cfg), str(dataset), cwd=tmp)
         assert proc.returncode == 2
         errors = proc.stderr.strip().splitlines()
-        assert len(errors) == 1 and errors[0].startswith("error: non-finite")
-        assert "target" in errors[0]
+        assert errors == [f"error: {dataset}:6: non-finite target RSS_dBm=nan"]
         assert not (tmp / "out" / "model.json").exists()
 
     def test_missing_dataset_file(self, workspace):
@@ -339,7 +338,7 @@ class TestEval:
         assert proc.returncode == 2
         assert proc.stdout == ""
         errors = proc.stderr.strip().splitlines()
-        assert errors == [f"error: non-finite target RSS_dBm=nan at {dataset}:6"]
+        assert errors == [f"error: {dataset}:6: non-finite target RSS_dBm=nan"]
 
     def test_malformed_sidecar_rejected(self, workspace):
         dataset = generate(workspace)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import io
 import math
 import warnings
 from pathlib import Path
@@ -333,19 +336,23 @@ class TestChannelRows:
         )
         assert [h for h, _ in calls] == [50.0, 100.0, 150.0]
 
-    def test_hata_params_built_once_per_altitude(self, monkeypatch, urban):
-        built = []
-        real = channel_models.HataParams
+    def test_hata_warns_per_row_like_scalar_functions(self, urban):
+        geometries = [(10.0, 500.0), (50.0, 500.0), (10.0, 800.0)]
 
-        def counting(**kwargs):
-            built.append(kwargs["h_b"])
-            return real(**kwargs)
+        def messages(fn):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fn()
+            return [str(w.message) for w in caught]
 
-        monkeypatch.setattr(channel_models, "HataParams", counting)
-        gen_altitude_waypoints(
-            urban, [50.0, 100.0, 50.0, 100.0], f_mhz=900.0, pl_model="hata"
-        )
-        assert built == [50.0, 100.0]
+        want = messages(lambda: [
+            scalar_row(urban, h, r, 900.0, "hata", "sigmoid", 1.5)
+            for h, r in geometries
+        ])
+        got = messages(lambda: channel_models._channel_rows(
+            urban, geometries, 900.0, "hata", "sigmoid", 1.5
+        ))
+        assert len(want) == 2 and got == want
 
     @pytest.mark.parametrize("pl_model", ["a2g_mean", "hata"])
     @pytest.mark.parametrize("plos_model", ["sigmoid", "holis", "product"])
@@ -543,7 +550,7 @@ class TestDatasetIO:
             read_dataset(path)
         role = "target" if column == "RSS_dBm" else "feature"
         assert str(excinfo.value) == (
-            f"non-finite {role} {column}={value} at {path}:3"
+            f"{path}:3: non-finite {role} {column}={value}"
         )
 
     def test_finite_fields_with_overflowing_sum_pass(self, tmp_path):
@@ -573,6 +580,23 @@ class TestDatasetIO:
                 s.d_m, s.h_m, s.f_mhz, s.pl_db, s.plos, s.rss_dbm
             )),
         ])
+
+    @pytest.mark.parametrize("scenario", ["a,b", 'say "hi"', "two\nlines", ""])
+    def test_scenario_written_as_csv_writer_does(self, tmp_path, urban, scenario):
+        ds = gen_distance_sweep(urban, 100.0, [200.0, 700.0])
+        for i, s in enumerate(ds.samples):
+            ds.samples[i] = dataclasses.replace(s, scenario=scenario)
+        path = tmp_path / "data.csv"
+        write_dataset(ds, path)
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for s in ds.samples:
+            writer.writerow([s.index, s.scenario, *(repr(v) for v in (
+                s.d_m, s.h_m, s.f_mhz, s.pl_db, s.plos, s.rss_dbm
+            ))])
+        assert path.read_bytes() == want.getvalue().encode("utf-8")
+        assert read_dataset(path).samples == ds.samples
 
     def test_rejects_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
