@@ -2,6 +2,8 @@
 
 __version__ = "0.1.0"
 
+import types
+
 from .channel_models import (
     A2GParams,
     Environment,
@@ -77,4 +79,7 @@ from .rbf_net import (
     train_step,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    name for name in dir()
+    if not name.startswith("_") and not isinstance(globals()[name], types.ModuleType)
+]

@@ -12,13 +12,19 @@ public interface, radians internally. Logarithms in dB arithmetic are base 10.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import ConfigurationError, DomainError, FitError, SchemaError
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    FitError,
+    SchemaError,
+    SkylinkError,
+    parse_json,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -76,12 +82,9 @@ class Environment:
     sigmoid: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.c is not None:
-            object.__setattr__(self, "c", tuple(float(v) for v in self.c))
-        if self.sigmoid is not None:
-            object.__setattr__(
-                self, "sigmoid", tuple(float(v) for v in self.sigmoid)
-            )
+        for name in ("c", "sigmoid"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigurationError(
                 f"environment {self.name!r}: alpha must be in (0, 1], got {self.alpha}"
@@ -133,15 +136,11 @@ def load_environments(path: str) -> dict[str, Environment]:
     The file holds a JSON array with one object per environment. Required
     keys per object: name, alpha, beta, gamma, eps_los_db, eps_nlos_db.
     Optional keys: c (array of 5 numbers), sigmoid (object with keys a, b).
-    Any other key is a schema error, as is a duplicate name.
+    Any other key is a schema error, as are a duplicate name and a value
+    that is not a number. Each entry is built by environment_from_dict.
     """
     with open(path, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            ) from exc
+        raw = parse_json(fh.read(), path)
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: expected a JSON array of environments")
     envs: dict[str, Environment] = {}
@@ -160,29 +159,19 @@ def load_environments(path: str) -> dict[str, Environment]:
                 f"{path}: entry {i} has unknown keys {sorted(unknown)}"
             )
         c = item.get("c")
-        if c is not None:
-            if not isinstance(c, list) or len(c) != 5:
-                raise SchemaError(
-                    f"{path}: entry {i}: c must be an array of 5 numbers"
-                )
-            c = tuple(float(v) for v in c)
+        if c is not None and (not isinstance(c, list) or len(c) != 5):
+            raise SchemaError(f"{path}: entry {i}: c must be an array of 5 numbers")
         sig = item.get("sigmoid")
-        if sig is not None:
-            if not isinstance(sig, dict) or set(sig) != {"a", "b"}:
-                raise SchemaError(
-                    f"{path}: entry {i}: sigmoid must be an object with keys a, b"
-                )
-            sig = (float(sig["a"]), float(sig["b"]))
-        env = Environment(
-            name=str(item["name"]),
-            alpha=float(item["alpha"]),
-            beta=float(item["beta"]),
-            gamma=float(item["gamma"]),
-            eps_los_db=float(item["eps_los_db"]),
-            eps_nlos_db=float(item["eps_nlos_db"]),
-            c=c,
-            sigmoid=sig,
-        )
+        if sig is not None and (not isinstance(sig, dict) or set(sig) != {"a", "b"}):
+            raise SchemaError(
+                f"{path}: entry {i}: sigmoid must be an object with keys a, b"
+            )
+        try:
+            env = environment_from_dict(item)
+        except (TypeError, ValueError) as exc:
+            if isinstance(exc, SkylinkError):
+                raise
+            raise SchemaError(f"{path}: entry {i}: {exc}") from exc
         if env.name in envs:
             raise SchemaError(f"{path}: duplicate environment name {env.name!r}")
         envs[env.name] = env
@@ -216,8 +205,8 @@ def environment_from_dict(data: dict) -> Environment:
         gamma=float(data["gamma"]),
         eps_los_db=float(data["eps_los_db"]),
         eps_nlos_db=float(data["eps_nlos_db"]),
-        c=tuple(float(v) for v in data["c"]) if data.get("c") is not None else None,
-        sigmoid=(float(sig["a"]), float(sig["b"])) if sig is not None else None,
+        c=data.get("c"),  # c and sigmoid entries become floats in Environment
+        sigmoid=None if sig is None else (sig["a"], sig["b"]),
     )
 
 
@@ -348,18 +337,16 @@ class A2GParams:
         f_c: carrier frequency, Hz.
         env: environment supplying the excess losses (and, for the
             probability-weighted mean, the P_LoS parameters).
-        c: propagation speed, m/s; fixed physical constant by default.
+
+    The propagation speed is SPEED_OF_LIGHT.
     """
 
     f_c: float
     env: Environment
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         if _require_finite("f_c", self.f_c) <= 0.0:
             raise DomainError(f"f_c must be > 0, got {self.f_c}")
-        if _require_finite("c", self.c) <= 0.0:
-            raise DomainError(f"c must be > 0, got {self.c}")
 
 
 def free_space_path_loss(f_c: float, d: float) -> float:
@@ -381,9 +368,7 @@ def a2g_path_loss(params: A2GParams, geom: LinkGeometry, los: bool) -> float:
     The excess term is eps_los_db for LoS links, eps_nlos_db otherwise.
     Distance is the slant range of the geometry.
     """
-    base = 20.0 * math.log10(
-        4.0 * math.pi * params.f_c * slant_distance(geom) / params.c
-    )
+    base = free_space_path_loss(params.f_c, slant_distance(geom))
     return base + (params.env.eps_los_db if los else params.env.eps_nlos_db)
 
 

@@ -10,6 +10,7 @@ sets the log level.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -30,6 +31,7 @@ from .errors import (
     DomainError,
     SchemaError,
     SkylinkError,
+    parse_json,
 )
 
 logger = logging.getLogger(__name__)
@@ -62,23 +64,33 @@ class RunConfig:
         self.path = path
         with open(path, encoding="utf-8") as fh:
             self.text = fh.read()
-        try:
-            self.data = json.loads(self.text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            ) from exc
+        self.data = parse_json(self.text, path)
         if not isinstance(self.data, dict):
             raise SchemaError(f"{path}: run config must be a JSON object")
 
-    def _line_of(self, key: str) -> int | None:
-        match = re.search(rf'"{re.escape(key)}"\s*:', self.text)
-        if match is None:
-            return None
-        return self.text.count("\n", 0, match.start()) + 1
-
     def where(self, dotted: str) -> str:
-        line = self._line_of(dotted.split(".")[-1])
+        """path:line of the key ``dotted``, or of its deepest parent present.
+
+        Walks the objects along the path member by member and skips each
+        value whole, so a same-named key elsewhere never matches.
+        """
+        text, line = self.text, None
+        decode = json.JSONDecoder().raw_decode
+        skip = re.compile(r"[\s,:]*").match  # the text is valid JSON
+        pos = skip(text).end()
+        for part in dotted.split("."):
+            if not text.startswith("{", pos):
+                break
+            pos = skip(text, pos + 1).end()
+            while text.startswith('"', pos):
+                key, end = decode(text, pos)
+                if key == part:
+                    line = text.count("\n", 0, pos) + 1
+                    break
+                pos = skip(text, decode(text, skip(text, end).end())[1]).end()
+            else:
+                break
+            pos = skip(text, end).end()
         return f"{self.path}:{line}" if line else self.path
 
     def get(self, dotted: str, default=_MISSING):
@@ -96,6 +108,16 @@ class RunConfig:
     def fail(self, dotted: str, message: str) -> ConfigurationError:
         return ConfigurationError(f"{self.where(dotted)}: {dotted}: {message}")
 
+    @contextlib.contextmanager
+    def reading(self, dotted: str):
+        """Report a wrong-typed value under ``dotted``; skylink errors pass."""
+        try:
+            yield
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, SkylinkError):
+                raise
+            raise self.fail(dotted, f"malformed value: {exc}") from exc
+
     def sha256(self) -> str:
         canonical = json.dumps(
             self.data, sort_keys=True, separators=(",", ":")
@@ -107,14 +129,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _resolve_path(cfg: RunConfig, p: str) -> str:
-    if os.path.isabs(p):
-        return p
-    return os.path.join(os.path.dirname(os.path.abspath(cfg.path)), p)
-
-
 def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
-    env_file = _resolve_path(cfg, cfg.get("environment_file"))
+    with cfg.reading("environment_file"):  # relative to the config's directory
+        env_file = os.path.join(
+            os.path.dirname(os.path.abspath(cfg.path)), cfg.get("environment_file")
+        )
     if not os.path.exists(env_file):
         raise ConfigurationError(
             f"{cfg.where('environment_file')}: environment file "
@@ -126,7 +145,7 @@ def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
 def _selected_environment(cfg: RunConfig) -> cm.Environment:
     envs = _load_environments(cfg)
     name = cfg.get("environment")
-    if name not in envs:
+    if not isinstance(name, str) or name not in envs:
         raise cfg.fail(
             "environment",
             f"{name!r} not defined (file has {sorted(envs)})",
@@ -135,32 +154,25 @@ def _selected_environment(cfg: RunConfig) -> cm.Environment:
 
 
 def _budget(cfg: RunConfig, seed_override: int | None) -> datagen.LinkBudget:
-    block = cfg.get("budget", {"tx_power_dbm": 30.0})
-    try:
-        budget = datagen.budget_from_dict(block)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigurationError):
-            raise
-        raise cfg.fail("budget", f"malformed budget block: {exc}") from exc
+    with cfg.reading("budget"):
+        budget = datagen.budget_from_dict(cfg.get("budget", {"tx_power_dbm": 30.0}))
     if seed_override is not None:
         budget = dataclasses.replace(budget, seed=seed_override)
     return budget
 
 
 def _rbf_config(cfg: RunConfig, seed_override: int | None) -> rbf_net.RbfConfig:
-    block = dict(cfg.get("rbf", {}))
-    if seed_override is not None:
-        block["seed"] = seed_override
-    try:
+    with cfg.reading("rbf"):
+        block = dict(cfg.get("rbf", {}))
+        if seed_override is not None:
+            block["seed"] = seed_override
         return rbf_net.RbfConfig(**block)
-    except TypeError as exc:
-        raise cfg.fail("rbf", f"malformed rbf block: {exc}") from exc
 
 
 def _distances_from_block(cfg: RunConfig, block: dict) -> list[float]:
     spec = block.get("distances_m")
     if spec is None:
-        raise cfg.fail("distances_m", "missing from distance_sweep scenario")
+        raise cfg.fail("scenario.distances_m", "missing from distance_sweep scenario")
     if isinstance(spec, list):
         return [float(v) for v in spec]
     if isinstance(spec, dict) and set(spec) == {"start", "stop", "count"}:
@@ -168,7 +180,7 @@ def _distances_from_block(cfg: RunConfig, block: dict) -> list[float]:
             float(spec["start"]), float(spec["stop"]), int(spec["count"])
         ).tolist()
     raise cfg.fail(
-        "distances_m", "must be a list or an object with start, stop, count"
+        "scenario.distances_m", "must be a list or an object with start, stop, count"
     )
 
 
@@ -179,43 +191,43 @@ def _scenario_dataset(
     force_kind: str | None = None,
 ) -> datagen.Dataset:
     block = cfg.get("scenario", {})
-    kind = block.get("kind", force_kind)
-    if force_kind is not None and kind != force_kind:
-        block = {}
-        kind = force_kind
-    pl_model = cfg.get("pl_model", "a2g_mean")
-    plos_model = cfg.get("plos_model", "sigmoid")
-    common = dict(
-        f_mhz=float(block.get("f_mhz", datagen.DEFAULT_FREQUENCY_MHZ)),
-        budget=budget,
-        pl_model=pl_model,
-        plos_model=plos_model,
-        rx_height_m=float(block.get("rx_height_m", datagen.DEFAULT_RX_HEIGHT_M)),
-    )
-    if kind == "distance_sweep":
-        if "distances_m" in block or "h_m" in block:
-            distances = _distances_from_block(cfg, block)
-            h_m = float(block.get("h_m", 100.0))
+    with cfg.reading("scenario"):
+        kind = block.get("kind", force_kind)
+        if force_kind is not None and kind != force_kind:
+            block = {}
+            kind = force_kind
+        common = dict(
+            f_mhz=float(block.get("f_mhz", datagen.DEFAULT_FREQUENCY_MHZ)),
+            budget=budget,
+            pl_model=cfg.get("pl_model", "a2g_mean"),
+            plos_model=cfg.get("plos_model", "sigmoid"),
+            rx_height_m=float(block.get("rx_height_m", datagen.DEFAULT_RX_HEIGHT_M)),
+        )
+        if kind == "distance_sweep":
+            if "distances_m" in block or "h_m" in block:
+                distances = _distances_from_block(cfg, block)
+                h_m = float(block.get("h_m", 100.0))
+            else:
+                distances = np.linspace(100.0, 2000.0, 200).tolist()
+                h_m = 100.0
+            generate, layout = datagen.gen_distance_sweep, (h_m, distances)
+        elif kind == "altitude_waypoints":
+            altitudes = block.get("altitudes_m")
+            if altitudes is not None:
+                altitudes = [float(v) for v in altitudes]
+            r_ground = float(block.get("r_ground_m", datagen.DEFAULT_GROUND_DISTANCE_M))
+            generate, layout = datagen.gen_altitude_waypoints, (altitudes, r_ground)
         else:
-            distances = np.linspace(100.0, 2000.0, 200).tolist()
-            h_m = 100.0
-        return datagen.gen_distance_sweep(env, h_m, distances, **common)
-    if kind == "altitude_waypoints":
-        altitudes = block.get("altitudes_m")
-        if altitudes is not None:
-            altitudes = [float(v) for v in altitudes]
-        r_ground = float(block.get("r_ground_m", datagen.DEFAULT_GROUND_DISTANCE_M))
-        return datagen.gen_altitude_waypoints(env, altitudes, r_ground, **common)
-    raise cfg.fail("scenario", f"unknown scenario kind {kind!r}")
+            raise cfg.fail("scenario", f"unknown scenario kind {kind!r}")
+    return generate(env, *layout, **common)
 
 
-def _out_dir(args, cfg: RunConfig | None) -> str:
-    out = args.out
-    if out is None and cfg is not None:
-        out = cfg.get("out_dir", "out")
+def _out_dir(args, cfg: RunConfig) -> str:
+    out = cfg.get("out_dir", "out") if args.out is None else args.out
     if out is None:
         out = "out"
-    os.makedirs(out, exist_ok=True)
+    with cfg.reading("out_dir"):
+        os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -232,21 +244,16 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _split_for_training(
-    cfg: RunConfig, dataset: datagen.Dataset, seed_override: int | None
-) -> tuple[datagen.Dataset, datagen.Dataset]:
-    fraction = float(cfg.get("train.train_fraction", 0.8))
-    seed = int(cfg.get("train.split_seed", 13))
-    if seed_override is not None:
-        seed = seed_override
-    return datagen.split(dataset, fraction, seed)
-
-
 def _train_model(
     cfg: RunConfig, dataset: datagen.Dataset, seed_override: int | None
 ) -> tuple[rbf_net.RbfNetwork, rbf_net.RbfConfig, rbf_net.TrainReport]:
     rbf_cfg = _rbf_config(cfg, seed_override)
-    train_ds, test_ds = _split_for_training(cfg, dataset, seed_override)
+    with cfg.reading("train"):
+        fraction = float(cfg.get("train.train_fraction", 0.8))
+        split_seed = int(cfg.get("train.split_seed", 13))
+    if seed_override is not None:
+        split_seed = seed_override
+    train_ds, test_ds = datagen.split(dataset, fraction, split_seed)
     x_train, y_train = datagen.features_targets(train_ds)
     x_test, y_test = datagen.features_targets(test_ds)
     net = rbf_net.init_network(rbf_cfg, x_train)
@@ -267,7 +274,7 @@ def cmd_train(args) -> int:
     datagen.write_curve_csv(
         report_path,
         [
-            f"skylink {__version__} config_sha256={cfg.sha256()}",
+            _provenance(cfg),
             f"final_train_rmse_db={_fmt(report.final_train_rmse_db)}",
             f"final_val_rmse_db={_fmt(report.final_val_rmse_db)}",
         ],
@@ -289,7 +296,7 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict_features(args, net: rbf_net.RbfNetwork) -> np.ndarray:
+def _predict_features(args) -> np.ndarray:
     if args.row is not None:
         try:
             values = [float(v) for v in args.row.split(",")]
@@ -298,14 +305,8 @@ def _predict_features(args, net: rbf_net.RbfNetwork) -> np.ndarray:
         return np.array([values], dtype=float)
     with open(args.input, encoding="utf-8", newline="") as fh:
         first = fh.readline().strip()
-    if first == ",".join(datagen.CSV_HEADER):
-        ds = datagen.read_dataset(args.input)
-        x, _ = datagen.features_targets(ds)
-        return x
-    if first == ",".join(FEATURE_HEADER):
-        rows = []
-        with open(args.input, encoding="utf-8", newline="") as fh:
-            next(fh)
+        if first == ",".join(FEATURE_HEADER):
+            rows = []
             for lineno, line in enumerate(fh, start=2):
                 line = line.strip()
                 if not line:
@@ -320,9 +321,12 @@ def _predict_features(args, net: rbf_net.RbfNetwork) -> np.ndarray:
                     rows.append([float(v) for v in parts])
                 except ValueError as exc:
                     raise SchemaError(f"{args.input}:{lineno}: {exc}") from None
-        if not rows:
-            raise SchemaError(f"{args.input}: no data rows")
-        return np.array(rows, dtype=float)
+            if not rows:
+                raise SchemaError(f"{args.input}: no data rows")
+            return np.array(rows, dtype=float)
+    if first == ",".join(datagen.CSV_HEADER):
+        x, _ = datagen.features_targets(datagen.read_dataset(args.input))
+        return x
     raise SchemaError(
         f"{args.input}:1: header must be either the dataset schema or "
         f"{','.join(FEATURE_HEADER)!r}"
@@ -331,7 +335,7 @@ def _predict_features(args, net: rbf_net.RbfNetwork) -> np.ndarray:
 
 def cmd_predict(args) -> int:
     net, _ = rbf_net.load_model(args.model)
-    features = _predict_features(args, net)
+    features = _predict_features(args)
     if features.shape[1] != net.input_dim:
         raise DomainError(
             f"model expects {net.input_dim} features per row, got {features.shape[1]}"
@@ -376,23 +380,23 @@ def _safe_name(name: str) -> str:
 
 
 def _curve_rician(cfg: RunConfig, out: str) -> list[str]:
-    k_list = [float(k) for k in cfg.get("curves.rician_k", [0.0, 50.0, 100.0])]
-    in_db = bool(cfg.get("curves.rician_k_db", False))
-    r_max = float(cfg.get("curves.rician_r_max", 3.0))
-    points = int(cfg.get("curves.rician_points", 301))
+    with cfg.reading("curves"):
+        k_list = [float(k) for k in cfg.get("curves.rician_k", [0.0, 50.0, 100.0])]
+        in_db = bool(cfg.get("curves.rician_k_db", False))
+        r_max = float(cfg.get("curves.rician_r_max", 3.0))
+        points = int(cfg.get("curves.rician_points", 301))
     if r_max <= 0.0 or points < 2:
         raise cfg.fail("curves", "rician grid needs r_max > 0 and points >= 2")
     grid = np.linspace(0.0, r_max, points)
+    unit = "dB" if in_db else ""
     columns = []
     labels = []
     for k in k_list:
         k_lin = 10.0 ** (k / 10.0) if in_db else k
         params = fading.params_from_k(k_lin)
-        unit = "dB" if in_db else ""
-        label = f"K={k:g}{unit}" + (" (Rayleigh)" if k_lin == 0.0 else "")
-        labels.append(label)
+        labels.append(f"K={k:g}{unit}" + (" (Rayleigh)" if k_lin == 0.0 else ""))
         columns.append([fading.rician_pdf(params, float(r)) for r in grid])
-    header = ["r"] + [f"pdf_K{k:g}{'dB' if in_db else ''}" for k in k_list]
+    header = ["r"] + [f"pdf_K{k:g}{unit}" for k in k_list]
     rows = [
         [float(r)] + [col[i] for col in columns] for i, r in enumerate(grid)
     ]
@@ -406,24 +410,18 @@ def _curve_rician(cfg: RunConfig, out: str) -> list[str]:
     return [path]
 
 
-def _plos_columns(env: cm.Environment) -> list[str]:
-    cols = ["plos_product"]
-    if env.c is not None:
-        cols.append("plos_holis")
-    if env.sigmoid is not None:
-        cols.append("plos_sigmoid")
-    return cols
-
-
 def _curve_plos_angle(cfg: RunConfig, out: str) -> list[str]:
     envs = _load_environments(cfg)
-    h = float(cfg.get("curves.uav_height_m", 100.0))
-    rx = float(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
+    with cfg.reading("curves"):
+        h = float(cfg.get("curves.uav_height_m", 100.0))
+        rx = float(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
     thetas = [float(t) for t in range(0, 91)]
     written = []
     for env in envs.values():
-        cols = _plos_columns(env)
-        models = [cm.PLOS[c.removeprefix("plos_")] for c in cols]
+        names = ["product"] + [  # the angle models need their parameters
+            n for n, p in (("holis", env.c), ("sigmoid", env.sigmoid)) if p is not None
+        ]
+        models = [cm.PLOS[n] for n in names]
         rows = []
         for theta in thetas:
             # The angle models take theta itself: theta -> r -> theta would
@@ -435,16 +433,18 @@ def _curve_plos_angle(cfg: RunConfig, out: str) -> list[str]:
             _provenance(cfg),
             f"environment={env.name} uav_height_m={_fmt(h)} rx_height_m={_fmt(rx)}",
         ]
-        datagen.write_curve_csv(path, comments, ["theta_deg"] + cols, rows)
+        header = ["theta_deg"] + [f"plos_{n}" for n in names]
+        datagen.write_curve_csv(path, comments, header, rows)
         written.append(path)
     return written
 
 
 def _curve_plos_fit(cfg: RunConfig, out: str) -> list[str]:
     envs = _load_environments(cfg)
-    h = float(cfg.get("curves.uav_height_m", 100.0))
-    rx = float(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
-    theta_min = float(cfg.get("curves.theta_min_deg", 10.0))
+    with cfg.reading("curves"):
+        h = float(cfg.get("curves.uav_height_m", 100.0))
+        rx = float(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
+        theta_min = float(cfg.get("curves.theta_min_deg", 10.0))
     thetas = [float(t) for t in range(int(theta_min), 91)]
     written = []
     for env in envs.values():
@@ -456,11 +456,7 @@ def _curve_plos_fit(cfg: RunConfig, out: str) -> list[str]:
             (t, p) for t, p in zip(thetas, produced) if 0.0 < p < 1.0
         ]
         a, b = cm.fit_sigmoid(fit_samples)
-        fit_env = cm.Environment(
-            name=env.name, alpha=env.alpha, beta=env.beta, gamma=env.gamma,
-            eps_los_db=env.eps_los_db, eps_nlos_db=env.eps_nlos_db,
-            sigmoid=(a, b),
-        )
+        fit_env = dataclasses.replace(env, sigmoid=(a, b))
         fitted = [cm.plos_sigmoid(fit_env, t) for t in thetas]
         rmse = float(
             np.sqrt(np.mean((np.array(fitted) - np.array(produced)) ** 2))
@@ -493,8 +489,7 @@ def _curve_rss(cfg: RunConfig, out: str, args, kind: str) -> list[str]:
         [float(x[i, axis]), float(y[i, 0]), float(predicted[i])]
         for i in range(x.shape[0])
     ]
-    name = "rss_distance" if kind == "distance_sweep" else "rss_altitude"
-    path = os.path.join(out, f"{name}.csv")
+    path = os.path.join(out, f"{args.which}.csv")
     comments = [
         _provenance(cfg),
         f"environment={env.name} scenario={kind}",
@@ -504,20 +499,22 @@ def _curve_rss(cfg: RunConfig, out: str, args, kind: str) -> list[str]:
     return [path]
 
 
+# curve name -> writer(cfg, out dir, args) returning the paths written
+CURVES = {
+    "rician": lambda cfg, out, args: _curve_rician(cfg, out),
+    "plos_angle": lambda cfg, out, args: _curve_plos_angle(cfg, out),
+    "plos_fit": lambda cfg, out, args: _curve_plos_fit(cfg, out),
+    "rss_distance": lambda cfg, out, args: _curve_rss(cfg, out, args, "distance_sweep"),
+    "rss_altitude": lambda cfg, out, args: _curve_rss(
+        cfg, out, args, "altitude_waypoints"
+    ),
+}
+
+
 def cmd_curves(args) -> int:
     cfg = RunConfig(args.config)
     out = _out_dir(args, cfg)
-    if args.which == "rician":
-        written = _curve_rician(cfg, out)
-    elif args.which == "plos_angle":
-        written = _curve_plos_angle(cfg, out)
-    elif args.which == "plos_fit":
-        written = _curve_plos_fit(cfg, out)
-    elif args.which == "rss_distance":
-        written = _curve_rss(cfg, out, args, "distance_sweep")
-    else:
-        written = _curve_rss(cfg, out, args, "altitude_waypoints")
-    for path in written:
+    for path in CURVES[args.which](cfg, out, args):
         print(f"wrote {path}")
     return 0
 
@@ -559,10 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval, needs_config=False)
 
     p = sub.add_parser("curves", parents=[common], help="emit figure curves")
-    p.add_argument(
-        "which",
-        choices=["rician", "plos_angle", "plos_fit", "rss_distance", "rss_altitude"],
-    )
+    p.add_argument("which", choices=list(CURVES))
     p.set_defaults(func=cmd_curves, needs_config=True)
     return parser
 
@@ -575,16 +569,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (SchemaError, ConfigurationError, DomainError) as exc:
+    except (SchemaError, ConfigurationError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SkylinkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SkylinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

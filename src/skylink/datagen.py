@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel_models as cm
-from .errors import ConfigurationError, DomainError, SchemaError
-from .fading import RicianParams
+from .errors import ConfigurationError, DomainError, SchemaError, parse_json
+from .fading import RicianParams, _rician_power
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
 
@@ -88,8 +88,7 @@ def fading_draw_db(budget: LinkBudget, index: int) -> float:
     if kind == "gaussian_shadow":
         return budget.fading.sigma_db * float(rng.standard_normal())
     params = budget.fading.rician
-    g1, g2 = rng.standard_normal(2)
-    amp_sq = (params.s + params.delta * g1) ** 2 + (params.delta * g2) ** 2
+    amp_sq = _rician_power(params, *rng.standard_normal(2))
     mean_power = params.s**2 + 2.0 * params.delta**2
     return -10.0 * math.log10(amp_sq / mean_power)
 
@@ -102,7 +101,7 @@ def rss_from_path_loss(budget: LinkBudget, pl_db: float, draw_db: float = 0.0) -
     return budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - pl_db - term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sample:
     """One generated measurement row."""
 
@@ -167,12 +166,29 @@ def _generate(
     env: cm.Environment,
     geometries: list[tuple[float, float]],
     f_mhz: float,
-    budget: LinkBudget,
+    budget: LinkBudget | None,
     pl_model: str,
     plos_model: str,
     rx_height_m: float,
-    metadata: dict,
+    layout: dict,
 ) -> Dataset:
+    """Dataset of one scenario's (h, r) rows and its metadata.
+
+    layout holds the scenario's own metadata keys. The key order is the
+    sidecar's bytes: scenario, environment, layout, then the shared keys.
+    """
+    if budget is None:
+        budget = LinkBudget(tx_power_dbm=30.0)
+    metadata = {
+        "scenario": scenario,
+        "environment": cm.environment_to_dict(env),
+        **layout,
+        "f_mhz": float(f_mhz),
+        "pl_model": pl_model,
+        "plos_model": plos_model,
+        "rx_height_m": float(rx_height_m),
+        "budget": _budget_to_dict(budget),
+    }
     path_loss, plos = cm._channel_rows(
         env, geometries, f_mhz, pl_model, plos_model, rx_height_m
     )
@@ -198,29 +214,17 @@ def gen_distance_sweep(
     rx_height_m: float = DEFAULT_RX_HEIGHT_M,
 ) -> Dataset:
     """Distance-sweep scenario: fixed altitude, increasing ground distance."""
-    if budget is None:
-        budget = LinkBudget(tx_power_dbm=30.0)
     if h_fixed <= 0.0:
         raise ConfigurationError(f"h_fixed must be > 0, got {h_fixed}")
     if len(distances) == 0:
         raise ConfigurationError("distances must be non-empty")
     if any(b <= a for a, b in zip(distances, distances[1:])):
         raise ConfigurationError("distances must be strictly increasing")
-    metadata = {
-        "scenario": "distance_sweep",
-        "environment": cm.environment_to_dict(env),
-        "h_m": float(h_fixed),
-        "distances_m": [float(d) for d in distances],
-        "f_mhz": float(f_mhz),
-        "pl_model": pl_model,
-        "plos_model": plos_model,
-        "rx_height_m": float(rx_height_m),
-        "budget": _budget_to_dict(budget),
-    }
-    geometries = [(float(h_fixed), float(d)) for d in distances]
+    layout = {"h_m": float(h_fixed), "distances_m": [float(d) for d in distances]}
+    geometries = [(layout["h_m"], d) for d in layout["distances_m"]]
     return _generate(
         "distance_sweep", env, geometries, f_mhz, budget,
-        pl_model, plos_model, rx_height_m, metadata,
+        pl_model, plos_model, rx_height_m, layout,
     )
 
 
@@ -238,8 +242,6 @@ def gen_altitude_waypoints(
 
     The default waypoint list is 20, 40, ..., 200 m.
     """
-    if budget is None:
-        budget = LinkBudget(tx_power_dbm=30.0)
     if altitudes is None:
         altitudes = list(DEFAULT_ALTITUDES_M)
     if len(altitudes) == 0:
@@ -248,35 +250,22 @@ def gen_altitude_waypoints(
         raise ConfigurationError("altitudes must all be positive")
     if r_ground < 0.0:
         raise ConfigurationError(f"r_ground must be >= 0, got {r_ground}")
-    metadata = {
-        "scenario": "altitude_waypoints",
-        "environment": cm.environment_to_dict(env),
-        "altitudes_m": [float(h) for h in altitudes],
-        "r_ground_m": float(r_ground),
-        "f_mhz": float(f_mhz),
-        "pl_model": pl_model,
-        "plos_model": plos_model,
-        "rx_height_m": float(rx_height_m),
-        "budget": _budget_to_dict(budget),
+    layout = {
+        "altitudes_m": [float(h) for h in altitudes], "r_ground_m": float(r_ground),
     }
-    geometries = [(float(h), float(r_ground)) for h in altitudes]
+    geometries = [(h, layout["r_ground_m"]) for h in layout["altitudes_m"]]
     return _generate(
         "altitude_waypoints", env, geometries, f_mhz, budget,
-        pl_model, plos_model, rx_height_m, metadata,
+        pl_model, plos_model, rx_height_m, layout,
     )
 
 
 def generate_from_metadata(metadata: dict) -> Dataset:
     """Rebuild a dataset from a metadata sidecar; bit-identical output."""
     env = cm.environment_from_dict(metadata["environment"])
-    budget = budget_from_dict(metadata["budget"])
-    common = dict(
-        f_mhz=metadata["f_mhz"],
-        budget=budget,
-        pl_model=metadata["pl_model"],
-        plos_model=metadata["plos_model"],
-        rx_height_m=metadata["rx_height_m"],
-    )
+    shared = ("f_mhz", "pl_model", "plos_model", "rx_height_m")
+    common = {key: metadata[key] for key in shared}
+    common["budget"] = budget_from_dict(metadata["budget"])
     kind = metadata.get("scenario")
     if kind == "distance_sweep":
         return gen_distance_sweep(
@@ -414,12 +403,7 @@ def read_dataset(csv_path: str) -> Dataset:
     sidecar = metadata_path_for(csv_path)
     if os.path.exists(sidecar):
         with open(sidecar, encoding="utf-8") as fh:
-            try:
-                metadata = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(
-                    f"{sidecar}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-                ) from exc
+            metadata = parse_json(fh.read(), sidecar)
     return Dataset(samples=samples, metadata=metadata)
 
 

@@ -8,6 +8,8 @@ latter to exit code 1.
 
 from __future__ import annotations
 
+import json
+
 
 class SkylinkError(Exception):
     """Base class for all library errors."""
@@ -45,3 +47,13 @@ class TrainingDivergedError(SkylinkError, RuntimeError):
         super().__init__(
             f"training diverged{where}: non-finite values in {parameter_class}"
         )
+
+
+def parse_json(text: str, path) -> object:
+    """json.loads(text); a syntax error is "path:line:col: invalid JSON: msg"."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(
+            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+        ) from exc

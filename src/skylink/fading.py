@@ -175,6 +175,11 @@ def rician_pdf_kdb(k_db: float, s: float, r: float) -> float:
     return math.exp(log_f)
 
 
+def _rician_power(params: RicianParams, g1, g2):
+    """Rician power (s + delta g1)^2 + (delta g2)^2 of standard normal g1, g2."""
+    return (params.s + params.delta * g1) ** 2 + (params.delta * g2) ** 2
+
+
 def sample_rician(params: RicianParams, n: int, seed: int) -> np.ndarray:
     """Draw n Rician amplitudes deterministically for the given seed.
 
@@ -185,5 +190,4 @@ def sample_rician(params: RicianParams, n: int, seed: int) -> np.ndarray:
         raise DomainError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal(n)
-    g2 = rng.standard_normal(n)
-    return np.sqrt((params.s + params.delta * g1) ** 2 + (params.delta * g2) ** 2)
+    return np.sqrt(_rician_power(params, g1, rng.standard_normal(n)))

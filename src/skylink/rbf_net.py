@@ -33,6 +33,7 @@ from .errors import (
     DomainError,
     SchemaError,
     TrainingDivergedError,
+    parse_json,
 )
 
 SPAN_FLOOR = 1e-6  # keeps the 1/delta and 1/delta^2 update terms finite
@@ -547,12 +548,7 @@ def save_model(path: str, net: RbfNetwork, config: RbfConfig) -> None:
 def load_model(path: str) -> tuple[RbfNetwork, RbfConfig]:
     """Load a model JSON written by save_model; schema-checked."""
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(
-                f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-            ) from exc
+        doc = parse_json(fh.read(), path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: model document must be a JSON object")
     required = {"format_version", "config", "norm_stats", "centers", "spans", "weights"}

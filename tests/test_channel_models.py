@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from skylink import (
     SPEED_OF_LIGHT,
     a2g_path_loss,
     elevation_angle,
+    environment_from_dict,
     free_space_path_loss,
     ground_distance_for_angle,
     hata_correction,
@@ -278,6 +280,43 @@ class TestEnvironmentConfig:
         path.write_text(json.dumps([entry]), encoding="utf-8")
         with pytest.raises(SchemaError):
             load_environments(path)
+
+    def test_load_wraps_non_number_as_schema_error(self, tmp_path):
+        path = tmp_path / "envs.json"
+        good = {
+            "name": "urban", "alpha": 0.3, "beta": 500.0, "gamma": 15.0,
+            "eps_los_db": 1.0, "eps_nlos_db": 20.0,
+        }
+        path.write_text(
+            json.dumps([good, dict(good, name="bad", alpha="abc")]), encoding="utf-8"
+        )
+        with pytest.raises(SchemaError) as excinfo:
+            load_environments(path)
+        assert str(excinfo.value) == (
+            f"{path}: entry 1: could not convert string to float: 'abc'"
+        )
+
+    def test_load_keeps_environment_range_error(self, tmp_path):
+        path = tmp_path / "envs.json"
+        entry = {
+            "name": "urban", "alpha": 2.0, "beta": 500.0, "gamma": 15.0,
+            "eps_los_db": 1.0, "eps_nlos_db": 20.0,
+        }
+        path.write_text(json.dumps([entry]), encoding="utf-8")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_environments(path)
+        assert type(excinfo.value) is ConfigurationError
+        assert str(excinfo.value) == (
+            "environment 'urban': alpha must be in (0, 1], got 2.0"
+        )
+
+    def test_shipped_file_loads_as_environment_from_dict(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        path = configs / "environments.example.json"
+        entries = json.loads(path.read_text(encoding="utf-8"))
+        assert load_environments(path) == {
+            e["name"]: environment_from_dict(e) for e in entries
+        }
 
     def test_load_reports_line_on_parse_error(self, tmp_path):
         path = tmp_path / "envs.json"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from skylink import load_model, read_curve_csv, read_dataset
+from skylink.cli import RunConfig
 
 from conftest import base_run_config, run_cli, write_json
 
@@ -100,6 +101,74 @@ class TestGenerate:
         proc = run_cli("generate", "--config", str(cfg_path), cwd=tmp_path)
         assert proc.returncode == 2
         assert "run.json:2" in proc.stderr
+
+    def test_malformed_environment_entry(self, tmp_path, env_file):
+        envs = json.loads(env_file.read_text(encoding="utf-8"))
+        envs[1]["alpha"] = "abc"
+        write_json(env_file, envs)
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, base_run_config(env_file))
+        proc = run_cli("generate", "--config", str(cfg_path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            f"error: {env_file}: entry 1: could not convert string to float: 'abc'\n"
+        )
+
+
+# (command, config key set, wrong-typed value, key the error names)
+WRONG_TYPED = [
+    ("generate", "environment", ["urban"], "environment"),
+    ("generate", "scenario", "x", "scenario"),
+    ("generate", "scenario.h_m", "abc", "scenario"),
+    ("generate", "budget.fading", "off", "budget"),
+    ("curves rician", "curves.rician_k", 5, "curves"),
+]
+
+
+@pytest.mark.parametrize("command, dotted, value, key", WRONG_TYPED)
+def test_wrong_typed_config_value(tmp_path, env_file, command, dotted, value, key):
+    cfg = base_run_config(env_file)
+    *parents, leaf = dotted.split(".")
+    node = cfg
+    for part in parents:
+        node = node[part]
+    node[leaf] = value
+    cfg_path = tmp_path / "run.json"
+    write_json(cfg_path, cfg)
+    lines = cfg_path.read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines, 1) if text.startswith(f'  "{key}":'))
+    proc = run_cli(*command.split(), "--config", str(cfg_path), cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {cfg_path}:{line}: {key}: ")
+    assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+class TestRunConfigWhere:
+    def test_dotted_path_picks_the_key_in_its_block(self, tmp_path, env_file):
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, base_run_config(env_file))  # rbf.seed before budget.seed
+        lines = cfg_path.read_text(encoding="utf-8").splitlines()
+        seeds = [i for i, text in enumerate(lines, 1) if '"seed":' in text]
+        budget = lines.index('  "budget": {') + 1
+        cfg = RunConfig(str(cfg_path))
+        assert cfg.where("rbf.seed") == f"{cfg_path}:{seeds[0]}"
+        assert cfg.where("budget.seed") == f"{cfg_path}:{seeds[1]}"
+        assert cfg.where("budget.missing") == f"{cfg_path}:{budget}"
+        assert cfg.where("missing") == str(cfg_path)
+
+    def test_skips_same_named_keys_in_nested_values(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(
+            '{"a": {"b": {"seed": 1}, "note": "\\"seed\\": 0",\n'
+            '  "seed": 2}, "seed": [{"seed": 3}]}\n',
+            encoding="utf-8",
+        )
+        cfg = RunConfig(str(cfg_path))
+        assert cfg.get("a.seed") == 2
+        assert cfg.where("a.seed") == f"{cfg_path}:2"
+        assert cfg.where("seed") == f"{cfg_path}:2"
+        assert cfg.where("a.b.seed") == f"{cfg_path}:1"
+        assert cfg.where("a.note.seed") == f"{cfg_path}:1"
 
 
 class TestTrain:

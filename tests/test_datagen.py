@@ -165,6 +165,16 @@ class TestFadingDraws:
         se = ratios.std(ddof=1) / math.sqrt(n)
         assert abs(ratios.mean() - 1.0) < 3.0 * se
 
+    def test_rician_draw_is_scalar_pair_of_row_substream(self):
+        rician = RicianParams(s=1.0, delta=0.5)
+        budget = LinkBudget(
+            tx_power_dbm=30.0, fading=FadingSpec(kind="rician", rician=rician), seed=6
+        )
+        for i in range(200):
+            g1, g2 = np.random.default_rng([6, i]).standard_normal(2).tolist()
+            amp_sq = (1.0 + 0.5 * g1) ** 2 + (0.5 * g2) ** 2
+            assert fading_draw_db(budget, i) == -10.0 * math.log10(amp_sq / 1.5)
+
 
 class TestDistanceSweep:
     def test_row_layout(self, urban):
@@ -451,6 +461,30 @@ class TestFeaturesTargets:
 
 
 class TestDatasetIO:
+    def test_metadata_key_order(self, urban):
+        shared = ["f_mhz", "pl_model", "plos_model", "rx_height_m", "budget"]
+        sweep = gen_distance_sweep(urban, 100.0, [200.0, 700.0])
+        assert list(sweep.metadata) == [
+            "scenario", "environment", "h_m", "distances_m", *shared
+        ]
+        waypoints = gen_altitude_waypoints(urban, [50.0, 90.0])
+        assert list(waypoints.metadata) == [
+            "scenario", "environment", "altitudes_m", "r_ground_m", *shared
+        ]
+        assert sweep.metadata["budget"] == waypoints.metadata["budget"] == {
+            "tx_power_dbm": 30.0, "tx_gain_dbi": 0.0, "rx_gain_dbi": 0.0,
+            "fading": {"kind": "off"}, "seed": 0,
+        }
+
+    def test_samples_are_slotted_frozen_values(self, urban):
+        sample = gen_distance_sweep(urban, 100.0, [200.0]).samples[0]
+        assert not hasattr(sample, "__dict__")
+        moved = dataclasses.replace(sample, d_m=300.0)
+        assert moved != sample
+        assert dataclasses.replace(moved, d_m=200.0) == sample
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sample.d_m = 1.0
+
     def test_round_trip_is_exact(self, tmp_path, urban):
         distances = [float(d) for d in np.linspace(100.0, 2000.0, 15)]
         budget = LinkBudget(
