@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import (
     ConfigurationError,
@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     SkylinkError,
     parse_json,
+    require,
 )
 
 logger = logging.getLogger(__name__)
@@ -82,52 +83,33 @@ class Environment:
     sigmoid: tuple[float, float] | None = None
 
     def __post_init__(self):
-        for name in ("c", "sigmoid"):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        if not (0.0 < self.alpha <= 1.0):
-            raise ConfigurationError(
-                f"environment {self.name!r}: alpha must be in (0, 1], got {self.alpha}"
-            )
-        if self.beta <= 0.0:
-            raise ConfigurationError(
-                f"environment {self.name!r}: beta must be > 0, got {self.beta}"
-            )
-        if self.gamma <= 0.0:
-            raise ConfigurationError(
-                f"environment {self.name!r}: gamma must be > 0, got {self.gamma}"
-            )
+        prefix = f"environment {self.name!r}: "
+        require(ConfigurationError, {
+            "alpha": "in (0, 1]", "beta": "finite and > 0", "gamma": "finite and > 0",
+            "eps_los_db": "finite", "eps_nlos_db": "finite",
+        }, vars(self), prefix)
         if not (0.0 <= self.eps_los_db <= self.eps_nlos_db):
             raise ConfigurationError(
-                f"environment {self.name!r}: need 0 <= eps_los_db <= eps_nlos_db, "
+                f"{prefix}need 0 <= eps_los_db <= eps_nlos_db, "
                 f"got {self.eps_los_db} and {self.eps_nlos_db}"
             )
-        if self.c is not None:
-            if len(self.c) != 5:
-                raise ConfigurationError(
-                    f"environment {self.name!r}: c must have 5 entries"
-                )
-            if self.c[3] <= 0.0:
-                raise ConfigurationError(
-                    f"environment {self.name!r}: c4 must be > 0, got {self.c[3]}"
-                )
-        if self.sigmoid is not None:
-            if len(self.sigmoid) != 2:
-                raise ConfigurationError(
-                    f"environment {self.name!r}: sigmoid must be (a, b)"
-                )
-            a, b = self.sigmoid
-            if a <= 0.0 or b <= 0.0:
-                raise ConfigurationError(
-                    f"environment {self.name!r}: sigmoid a and b must be > 0, "
-                    f"got a={a}, b={b}"
-                )
+        for name, rules in (("c", _C_RULES), ("sigmoid", _SIGMOID_RULES)):
+            if getattr(self, name) is not None:
+                value = tuple(map(float, getattr(self, name)))
+                object.__setattr__(self, name, value)
+                if len(value) != len(rules):
+                    raise ConfigurationError(
+                        f"{prefix}{name} must have {len(rules)} entries"
+                    )
+                require(ConfigurationError, rules, dict(zip(rules, value)), prefix)
 
 
-_ENV_REQUIRED_KEYS = {
-    "name", "alpha", "beta", "gamma", "eps_los_db", "eps_nlos_db",
+# Entry rules of the optional Environment tuples, in tuple order.
+_C_RULES = {
+    "c1": "finite", "c2": "finite", "c3": "finite", "c4": "finite and > 0",
+    "c5": "finite",
 }
-_ENV_OPTIONAL_KEYS = {"c", "sigmoid"}
+_SIGMOID_RULES = {"sigmoid a": "finite and > 0", "sigmoid b": "finite and > 0"}
 
 
 def load_environments(path: str) -> dict[str, Environment]:
@@ -143,13 +125,14 @@ def load_environments(path: str) -> dict[str, Environment]:
         raw = parse_json(fh.read(), path)
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: expected a JSON array of environments")
+    required = {f.name for f in fields(Environment) if f.default is MISSING}
     envs: dict[str, Environment] = {}
     for i, item in enumerate(raw):
         if not isinstance(item, dict):
             raise SchemaError(f"{path}: entry {i} is not an object")
         keys = set(item)
-        missing = _ENV_REQUIRED_KEYS - keys
-        unknown = keys - _ENV_REQUIRED_KEYS - _ENV_OPTIONAL_KEYS
+        missing = required - keys
+        unknown = keys - {f.name for f in fields(Environment)}
         if missing:
             raise SchemaError(
                 f"{path}: entry {i} missing keys {sorted(missing)}"
@@ -179,32 +162,25 @@ def load_environments(path: str) -> dict[str, Environment]:
 
 
 def environment_to_dict(env: Environment) -> dict:
-    """Plain-JSON form of an environment, matching the config file schema."""
-    out: dict = {
-        "name": env.name,
-        "alpha": env.alpha,
-        "beta": env.beta,
-        "gamma": env.gamma,
-        "eps_los_db": env.eps_los_db,
-        "eps_nlos_db": env.eps_nlos_db,
-    }
-    if env.c is not None:
-        out["c"] = list(env.c)
-    if env.sigmoid is not None:
-        out["sigmoid"] = {"a": env.sigmoid[0], "b": env.sigmoid[1]}
-    return out
+    """Plain-JSON form of an environment, matching the config file schema.
+
+    Keys come in field order, which is the sidecar's key order; c and
+    sigmoid are left out when None.
+    """
+    out = {f.name: getattr(env, f.name) for f in fields(env)}
+    out["c"] = None if env.c is None else list(env.c)
+    out["sigmoid"] = None if env.sigmoid is None else dict(zip("ab", env.sigmoid))
+    return {key: value for key, value in out.items() if value is not None}
 
 
 def environment_from_dict(data: dict) -> Environment:
     """Inverse of environment_to_dict."""
     sig = data.get("sigmoid")
+    # field types are strings: this module postpones annotations
+    floats = [f.name for f in fields(Environment) if f.type == "float"]
     return Environment(
         name=str(data["name"]),
-        alpha=float(data["alpha"]),
-        beta=float(data["beta"]),
-        gamma=float(data["gamma"]),
-        eps_los_db=float(data["eps_los_db"]),
-        eps_nlos_db=float(data["eps_nlos_db"]),
+        **{name: float(data[name]) for name in floats},
         c=data.get("c"),  # c and sigmoid entries become floats in Environment
         sigmoid=None if sig is None else (sig["a"], sig["b"]),
     )
@@ -224,8 +200,7 @@ class LinkGeometry:
     r: float
 
     def __post_init__(self):
-        _require_finite("h", self.h)
-        _require_finite("r", self.r)
+        require(DomainError, {"h": "finite", "r": "finite"}, vars(self))
         if self.h < 0.0 or self.r < 0.0:
             raise DomainError(
                 f"geometry requires h >= 0 and r >= 0, got h={self.h}, r={self.r}"
@@ -256,12 +231,7 @@ def ground_distance_for_angle(h: float, theta_deg: float) -> float:
     Inverts theta = atan(h / r) to r = h / tan(theta). theta = 0 maps to
     infinity, theta = 90 to zero.
     """
-    h = _require_finite("h", h)
-    theta_deg = _require_finite("theta_deg", theta_deg)
-    if h <= 0.0:
-        raise DomainError(f"h must be > 0, got {h}")
-    if not (0.0 <= theta_deg <= 90.0):
-        raise DomainError(f"theta_deg must be in [0, 90], got {theta_deg}")
+    require(DomainError, {"h": "finite and > 0", "theta_deg": "in [0, 90]"}, locals())
     if theta_deg == 0.0:
         return math.inf
     if theta_deg == 90.0:
@@ -345,8 +315,7 @@ class A2GParams:
     env: Environment
 
     def __post_init__(self):
-        if _require_finite("f_c", self.f_c) <= 0.0:
-            raise DomainError(f"f_c must be > 0, got {self.f_c}")
+        require(DomainError, {"f_c": "finite and > 0"}, vars(self))
 
 
 def free_space_path_loss(f_c: float, d: float) -> float:
@@ -355,10 +324,7 @@ def free_space_path_loss(f_c: float, d: float) -> float:
     f_c in Hz, d in metres. Zero dB at d = c / (4 pi f_c); each doubling of
     d adds 20 log10(2) dB.
     """
-    f_c = _require_finite("f_c", f_c)
-    d = _require_finite("d", d)
-    if f_c <= 0.0 or d <= 0.0:
-        raise DomainError(f"f_c and d must be > 0, got f_c={f_c}, d={d}")
+    require(DomainError, {"f_c": "finite and > 0", "d": "finite and > 0"}, locals())
     return 20.0 * math.log10(4.0 * math.pi * f_c * d / SPEED_OF_LIGHT)
 
 

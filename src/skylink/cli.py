@@ -94,9 +94,13 @@ class RunConfig:
         return f"{self.path}:{line}" if line else self.path
 
     def get(self, dotted: str, default=_MISSING):
-        node = self.data
-        for part in dotted.split("."):
-            if not isinstance(node, dict) or part not in node:
+        """Value at ``dotted``; a block on the path that is no object fails."""
+        node, parts = self.data, dotted.split(".")
+        for i, part in enumerate(parts):
+            if not isinstance(node, dict):  # the root is checked on load
+                block = ".".join(parts[:i])
+                raise self.fail(block, f"malformed value: {node!r} is not an object")
+            if part not in node:
                 if default is not _MISSING:
                     return default
                 raise ConfigurationError(
@@ -113,7 +117,9 @@ class RunConfig:
         """Report a wrong-typed value under ``dotted``; skylink errors pass."""
         try:
             yield
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (
+            ArithmeticError, AttributeError, KeyError, TypeError, ValueError
+        ) as exc:
             if isinstance(exc, SkylinkError):
                 raise
             raise self.fail(dotted, f"malformed value: {exc}") from exc
@@ -444,8 +450,8 @@ def _curve_plos_fit(cfg: RunConfig, out: str) -> list[str]:
     with cfg.reading("curves"):
         h = float(cfg.get("curves.uav_height_m", 100.0))
         rx = float(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
-        theta_min = float(cfg.get("curves.theta_min_deg", 10.0))
-    thetas = [float(t) for t in range(int(theta_min), 91)]
+        theta_min = int(float(cfg.get("curves.theta_min_deg", 10.0)))
+    thetas = [float(t) for t in range(theta_min, 91)]
     written = []
     for env in envs.values():
         produced = [

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel_models as cm
-from .errors import ConfigurationError, DomainError, SchemaError, parse_json
+from .errors import ConfigurationError, DomainError, SchemaError, parse_json, require
 from .fading import RicianParams, _rician_power
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
@@ -50,8 +50,7 @@ class FadingSpec:
             )
         if self.kind == "rician" and self.rician is None:
             raise ConfigurationError("rician fading requires RicianParams")
-        if not math.isfinite(self.sigma_db) or self.sigma_db < 0.0:
-            raise ConfigurationError(f"sigma_db must be >= 0, got {self.sigma_db!r}")
+        require(ConfigurationError, {"sigma_db": "finite and >= 0"}, vars(self))
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,10 @@ class LinkBudget:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("tx_power_dbm", "tx_gain_dbi", "rx_gain_dbi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
+        require(ConfigurationError, {
+            "tx_power_dbm": "finite", "tx_gain_dbi": "finite", "rx_gain_dbi": "finite",
+            "seed": "int and >= 0",
+        }, vars(self))
 
 
 def fading_draw_db(budget: LinkBudget, index: int) -> float:
@@ -124,19 +124,13 @@ class Dataset:
 
 
 def _budget_to_dict(budget: LinkBudget) -> dict:
+    """JSON form of a budget; keys in field order, the sidecar's key order."""
     fading: dict = {"kind": budget.fading.kind}
     if budget.fading.kind == "rician":
-        fading["s"] = budget.fading.rician.s
-        fading["delta"] = budget.fading.rician.delta
+        fading.update(vars(budget.fading.rician))
     elif budget.fading.kind == "gaussian_shadow":
         fading["sigma_db"] = budget.fading.sigma_db
-    return {
-        "tx_power_dbm": budget.tx_power_dbm,
-        "tx_gain_dbi": budget.tx_gain_dbi,
-        "rx_gain_dbi": budget.rx_gain_dbi,
-        "fading": fading,
-        "seed": budget.seed,
-    }
+    return {**vars(budget), "fading": fading}
 
 
 def budget_from_dict(data: dict) -> LinkBudget:
@@ -177,6 +171,7 @@ def _generate(
     layout holds the scenario's own metadata keys. The key order is the
     sidecar's bytes: scenario, environment, layout, then the shared keys.
     """
+    require(ConfigurationError, {"rx_height_m": "finite and >= 0"}, locals())
     if budget is None:
         budget = LinkBudget(tx_power_dbm=30.0)
     metadata = {
@@ -214,8 +209,7 @@ def gen_distance_sweep(
     rx_height_m: float = DEFAULT_RX_HEIGHT_M,
 ) -> Dataset:
     """Distance-sweep scenario: fixed altitude, increasing ground distance."""
-    if h_fixed <= 0.0:
-        raise ConfigurationError(f"h_fixed must be > 0, got {h_fixed}")
+    require(ConfigurationError, {"h_fixed": "finite and > 0"}, locals())
     if len(distances) == 0:
         raise ConfigurationError("distances must be non-empty")
     if any(b <= a for a, b in zip(distances, distances[1:])):
@@ -248,8 +242,7 @@ def gen_altitude_waypoints(
         raise ConfigurationError("altitudes must be non-empty")
     if any(h <= 0.0 for h in altitudes):
         raise ConfigurationError("altitudes must all be positive")
-    if r_ground < 0.0:
-        raise ConfigurationError(f"r_ground must be >= 0, got {r_ground}")
+    require(ConfigurationError, {"r_ground": "finite and >= 0"}, locals())
     layout = {
         "altitudes_m": [float(h) for h in altitudes], "r_ground_m": float(r_ground),
     }
@@ -284,10 +277,10 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     Both sides keep the original sample order (by index) and a metadata
     record of the split; both must be non-empty.
     """
-    if not (0.0 < train_fraction < 1.0):
-        raise ConfigurationError(
-            f"train_fraction must be in (0, 1), got {train_fraction}"
-        )
+    require(
+        ConfigurationError,
+        {"train_fraction": "in (0, 1)", "seed": "int and >= 0"}, locals(),
+    )
     n = len(dataset.samples)
     n_train = int(n * train_fraction)
     if n_train == 0 or n_train == n:

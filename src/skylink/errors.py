@@ -9,6 +9,8 @@ latter to exit code 1.
 from __future__ import annotations
 
 import json
+import numbers
+import sys
 
 
 class SkylinkError(Exception):
@@ -57,3 +59,31 @@ def parse_json(text: str, path) -> object:
         raise SchemaError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+
+
+# Terms of a field rule by their text. A rule joins terms with " and ", and
+# its text is also the error message, so the two cannot drift apart.
+RULES = {
+    "finite": lambda v: abs(v) <= sys.float_info.max,  # no nan, inf or huge int
+    "int": lambda v: isinstance(v, numbers.Integral),
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    "in (0, 1)": lambda v: 0 < v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 90]": lambda v: 0 <= v <= 90,
+}
+
+
+def require(error: type, table: dict, values, prefix: str = "") -> None:
+    """Check values[name], for each name in ``table``, against its rule.
+
+    values is a mapping such as vars(self) or a function's locals(). The
+    first value that is no real number (bools are not) or fails its rule
+    raises error("{prefix}{name} must be {rule}, got {value!r}").
+    """
+    for name, rule in table.items():
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not all(
+            RULES[term](value) for term in rule.split(" and ")
+        ):
+            raise error(f"{prefix}{name} must be {rule}, got {value!r}")

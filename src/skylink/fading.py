@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require
 
 # Switch point between the I0 power series and its asymptotic expansion.
 _I0_ASYMPTOTIC_CUTOFF = 15.0
@@ -33,14 +33,9 @@ class RicianParams:
     delta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.s) and math.isfinite(self.delta)):
-            raise DomainError(
-                f"s and delta must be finite, got s={self.s}, delta={self.delta}"
-            )
-        if self.s < 0.0:
-            raise DomainError(f"s must be >= 0, got {self.s}")
-        if self.delta <= 0.0:
-            raise DomainError(f"delta must be > 0, got {self.delta}")
+        require(
+            DomainError, {"s": "finite and >= 0", "delta": "finite and > 0"}, vars(self)
+        )
 
 
 def _log_bessel_i0(x: float) -> float:
@@ -86,8 +81,7 @@ def bessel_i0(x: float) -> float:
     explicit exponential that this function exists to keep in log space
     for density ratios.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
+    require(DomainError, {"x": "finite"}, locals())
     return math.exp(_log_bessel_i0(abs(x)))
 
 
@@ -136,10 +130,9 @@ def params_from_k(k: float, mean_power: float = 1.0) -> RicianParams:
     s^2 = mean_power K / (K + 1), 2 delta^2 = mean_power / (K + 1).
     K = 0 gives the Rayleigh special case.
     """
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"k must be finite and >= 0, got {k!r}")
-    if not (math.isfinite(mean_power) and mean_power > 0.0):
-        raise DomainError(f"mean_power must be > 0, got {mean_power!r}")
+    require(
+        DomainError, {"k": "finite and >= 0", "mean_power": "finite and > 0"}, locals()
+    )
     s = math.sqrt(mean_power * k / (k + 1.0))
     delta = math.sqrt(mean_power / (2.0 * (k + 1.0)))
     return RicianParams(s=s, delta=delta)
@@ -155,14 +148,9 @@ def rician_pdf_kdb(k_db: float, s: float, r: float) -> float:
 
     and agrees with rician_pdf for the corresponding (s, delta).
     """
-    if not (math.isfinite(k_db) and math.isfinite(s) and math.isfinite(r)):
-        raise DomainError(
-            f"arguments must be finite, got k_db={k_db!r}, s={s!r}, r={r!r}"
-        )
-    if s <= 0.0:
-        raise DomainError(f"s must be > 0, got {s}")
-    if r < 0.0:
-        raise DomainError(f"r must be >= 0, got {r}")
+    require(DomainError, {
+        "k_db": "finite", "s": "finite and > 0", "r": "finite and >= 0",
+    }, locals())
     if r == 0.0:
         return 0.0
     k = 10.0 ** (k_db / 10.0)
@@ -186,8 +174,7 @@ def sample_rician(params: RicianParams, n: int, seed: int) -> np.ndarray:
     Each draw is sqrt((s + delta g1)^2 + (delta g2)^2) with g1, g2
     independent standard normal variates from a dedicated generator.
     """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    require(DomainError, {"n": "int and > 0", "seed": "int and >= 0"}, locals())
     rng = np.random.default_rng(seed)
     g1 = rng.standard_normal(n)
     return np.sqrt(_rician_power(params, g1, rng.standard_normal(n)))

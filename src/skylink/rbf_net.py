@@ -34,6 +34,7 @@ from .errors import (
     SchemaError,
     TrainingDivergedError,
     parse_json,
+    require,
 )
 
 SPAN_FLOOR = 1e-6  # keeps the 1/delta and 1/delta^2 update terms finite
@@ -64,19 +65,13 @@ class RbfConfig:
     update_mode: str = "derived_gradient"
 
     def __post_init__(self):
-        for name in ("m_hidden", "input_dim", "output_dim", "epochs"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"{name} must be >= 1, got {getattr(self, name)}"
-                )
-        for name in ("tau_w", "tau_mu", "tau_delta"):
-            v = getattr(self, name)
-            if v is None:
-                continue
-            if not np.isfinite(v) or v < 0.0:
-                raise ConfigurationError(
-                    f"{name} must be finite and >= 0, got {v!r}"
-                )
+        require(ConfigurationError, {
+            "m_hidden": "int and > 0", "input_dim": "int and > 0",
+            "output_dim": "int and > 0", "epochs": "int and > 0",
+            "seed": "int and >= 0",
+            "tau_w": "finite and >= 0", "tau_mu": "finite and >= 0",
+            "tau_delta": "finite and >= 0",  # checked as tau_mu when None
+        }, {**vars(self), "tau_delta": self.effective_tau_delta})
         if self.update_mode not in UPDATE_MODES:
             raise ConfigurationError(
                 f"update_mode must be one of {UPDATE_MODES}, got {self.update_mode!r}"
@@ -197,15 +192,14 @@ class RbfNetwork:
             )
         return x
 
-    def _activations(self, xn: np.ndarray) -> np.ndarray:
-        """Gaussian unit responses, one row per normalized input row."""
+    def _scaled_sq_distances(self, xn: np.ndarray) -> np.ndarray:
+        """||x - mu_j||^2 / (2 delta_j^2), one row per normalized input row."""
         diff = xn[:, None, :] - self.centers
-        q = (diff * diff).sum(axis=2) / (2.0 * self.spans * self.spans)
-        return np.exp(-q)
+        return (diff * diff).sum(axis=2) / (2.0 * self.spans * self.spans)
 
     def hidden_activations(self, x: np.ndarray) -> np.ndarray:
         """Gaussian unit responses z_j in (0, 1] for a normalized input."""
-        return self._activations(self._check_x(x)[None, :])[0]
+        return np.exp(-self._scaled_sq_distances(self._check_x(x)[None, :]))[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Normalized outputs Y_k = sum_j W_kj z_j."""
@@ -227,9 +221,18 @@ class RbfNetwork:
         _check_finite(rows, "feature", DomainError)
         out = np.empty((rows.shape[0], self.output_dim))
         for start in range(0, rows.shape[0], PREDICT_CHUNK):
-            xn = self.norm.normalize_features(rows[start:start + PREDICT_CHUNK])
+            with np.errstate(over="ignore"):
+                xn = self.norm.normalize_features(rows[start:start + PREDICT_CHUNK])
+                q = self._scaled_sq_distances(xn)
+            if not np.isfinite(q).all():  # every activation would underflow to 0
+                r = int(np.argwhere(~np.isfinite(q))[0, 0])
+                c = int(np.argmax(np.abs(xn[r])))
+                raise DomainError(
+                    f"feature at row {start + r}, column {c} too far outside "
+                    f"the training range: {rows[start + r, c]}"
+                )
             # per-row W @ z: a batched Z @ W.T sums in another order
-            y = np.array([self.weights @ z for z in self._activations(xn)])
+            y = np.array([self.weights @ z for z in np.exp(-q)])
             out[start:start + len(xn)] = self.norm.denormalize_targets(y)
         return out[0] if single else out
 

@@ -69,30 +69,34 @@ def write_json(path, data):
     path.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
 
 
+# The three standard test environments, as an environment file holds them.
+ENVIRONMENTS = [
+    {
+        "name": "suburban", "alpha": 0.1, "beta": 750.0, "gamma": 8.0,
+        "eps_los_db": 0.1, "eps_nlos_db": 21.0,
+        "c": [1.0, 0.0, 5.0, 12.0, 2.5],
+        "sigmoid": {"a": 4.88, "b": 0.43},
+    },
+    {
+        "name": "urban", "alpha": 0.3, "beta": 500.0, "gamma": 15.0,
+        "eps_los_db": 1.0, "eps_nlos_db": 20.0,
+        "c": [1.0, 0.0, 15.0, 12.0, 2.0],
+        "sigmoid": {"a": 9.61, "b": 0.16},
+    },
+    {
+        "name": "dense-urban", "alpha": 0.5, "beta": 300.0, "gamma": 20.0,
+        "eps_los_db": 1.6, "eps_nlos_db": 23.0,
+        "c": [1.0, 0.0, 20.0, 12.0, 2.0],
+        "sigmoid": {"a": 12.08, "b": 0.11},
+    },
+]
+
+
 @pytest.fixture
 def env_file(tmp_path):
     """Environment config file with the three standard test environments."""
     path = tmp_path / "environments.json"
-    write_json(path, [
-        {
-            "name": "suburban", "alpha": 0.1, "beta": 750.0, "gamma": 8.0,
-            "eps_los_db": 0.1, "eps_nlos_db": 21.0,
-            "c": [1.0, 0.0, 5.0, 12.0, 2.5],
-            "sigmoid": {"a": 4.88, "b": 0.43},
-        },
-        {
-            "name": "urban", "alpha": 0.3, "beta": 500.0, "gamma": 15.0,
-            "eps_los_db": 1.0, "eps_nlos_db": 20.0,
-            "c": [1.0, 0.0, 15.0, 12.0, 2.0],
-            "sigmoid": {"a": 9.61, "b": 0.16},
-        },
-        {
-            "name": "dense-urban", "alpha": 0.5, "beta": 300.0, "gamma": 20.0,
-            "eps_los_db": 1.6, "eps_nlos_db": 23.0,
-            "c": [1.0, 0.0, 20.0, 12.0, 2.0],
-            "sigmoid": {"a": 12.08, "b": 0.11},
-        },
-    ])
+    write_json(path, ENVIRONMENTS)
     return path
 
 

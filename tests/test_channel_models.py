@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -21,6 +22,7 @@ from skylink import (
     a2g_path_loss,
     elevation_angle,
     environment_from_dict,
+    environment_to_dict,
     free_space_path_loss,
     ground_distance_for_angle,
     hata_correction,
@@ -309,6 +311,38 @@ class TestEnvironmentConfig:
         assert str(excinfo.value) == (
             "environment 'urban': alpha must be in (0, 1], got 2.0"
         )
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("beta", math.nan, "beta must be finite and > 0, got nan"),
+        ("gamma", math.inf, "gamma must be finite and > 0, got inf"),
+        ("eps_nlos_db", math.inf, "eps_nlos_db must be finite, got inf"),
+        ("c", [math.nan, 0.0, 15.0, 12.0, 2.0], "c1 must be finite, got nan"),
+        ("c", [1.0, 0.0, 15.0, 0.0, 2.0], "c4 must be finite and > 0, got 0.0"),
+        (
+            "sigmoid", {"a": 9.61, "b": math.inf},
+            "sigmoid b must be finite and > 0, got inf",
+        ),
+    ])
+    def test_load_rejects_non_finite_parameters(self, tmp_path, key, value, message):
+        path = tmp_path / "envs.json"
+        entry = {
+            "name": "urban", "alpha": 0.3, "beta": 500.0, "gamma": 15.0,
+            "eps_los_db": 1.0, "eps_nlos_db": 20.0, key: value,
+        }
+        path.write_text(json.dumps([entry]), encoding="utf-8")
+        with pytest.raises(ConfigurationError) as excinfo:
+            load_environments(path)
+        assert str(excinfo.value) == f"environment 'urban': {message}"
+
+    def test_dict_form_follows_field_order(self, urban):
+        data = environment_to_dict(urban)
+        assert list(data) == [f.name for f in dataclasses.fields(Environment)]
+        assert data["c"] == list(urban.c)
+        assert data["sigmoid"] == {"a": urban.sigmoid[0], "b": urban.sigmoid[1]}
+        assert environment_from_dict(data) == urban
+        bare = dataclasses.replace(urban, c=None, sigmoid=None)
+        assert list(environment_to_dict(bare)) == list(data)[:6]
+        assert environment_from_dict(environment_to_dict(bare)) == bare
 
     def test_shipped_file_loads_as_environment_from_dict(self):
         configs = Path(__file__).resolve().parents[1] / "configs"

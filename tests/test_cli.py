@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+import io
 import json
+import math
 import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from skylink import load_model, read_curve_csv, read_dataset
+from skylink import cli, load_model, read_curve_csv, read_dataset
 from skylink.cli import RunConfig
 
-from conftest import base_run_config, run_cli, write_json
+from conftest import ENVIRONMENTS, base_run_config, run_cli, write_json
 
 PROVENANCE_RE = re.compile(r"^skylink [0-9][^ ]* config_sha256=[0-9a-f]{12}$")
 
@@ -122,6 +129,12 @@ WRONG_TYPED = [
     ("generate", "scenario.h_m", "abc", "scenario"),
     ("generate", "budget.fading", "off", "budget"),
     ("curves rician", "curves.rician_k", 5, "curves"),
+    ("curves rician", "curves", 5, "curves"),
+    ("generate", "scenario.distances_m.count", math.inf, "scenario"),
+    ("curves rician", "curves.rician_points", math.inf, "curves"),
+    ("curves rss_distance", "train.split_seed", math.inf, "train"),
+    ("generate", "budget.seed", math.inf, "budget"),
+    ("curves plos_fit", "curves.theta_min_deg", math.nan, "curves"),
 ]
 
 
@@ -141,6 +154,65 @@ def test_wrong_typed_config_value(tmp_path, env_file, command, dotted, value, ke
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {cfg_path}:{line}: {key}: ")
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
+
+def json_leaves(node, path=()):
+    """Paths to the scalars (list entries included) of a JSON document."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from json_leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def fuzz_config():
+    """A run config small enough to run every command in a few milliseconds."""
+    cfg = base_run_config("environments.json")
+    cfg["rbf"].update(m_hidden=4, epochs=3)
+    cfg["scenario"]["distances_m"]["count"] = 30
+    cfg["curves"]["rician_points"] = 31
+    return cfg
+
+
+FUZZ_LEAVES = [("config", p) for p in json_leaves(fuzz_config())] + [
+    ("environment", p) for p in json_leaves(ENVIRONMENTS[1])  # the selected one
+]
+FUZZ_VALUES = [None, True, "x", -1, 0, 2.5, math.nan, math.inf, -math.inf, [], {}]
+FUZZ_COMMANDS = [
+    ["generate"], ["train", "out/dataset.csv"], ["curves", "rician"],
+    ["curves", "plos_fit"],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FUZZ_LEAVES), st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_config_leaf_never_escapes(leaf, value):
+    """Any wrong value in a run config or environment entry ends in an exit code.
+
+    Exit 2 is a rejected input. Exit 1 is a runtime failure such as a sigmoid
+    fit without samples strictly inside (0, 1), which a degenerate but valid
+    environment gives. Either ends in an `error:` line; no exception escapes.
+    """
+    cfg, envs = fuzz_config(), copy.deepcopy(ENVIRONMENTS)
+    document, path = leaf
+    node = cfg if document == "config" else envs[1]
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        write_json(Path("environments.json"), envs)
+        write_json(Path("run.json"), cfg)
+        for command, *rest in FUZZ_COMMANDS:
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(stderr):
+                code = cli.main([command, "--config", "run.json", *rest])
+            assert code in (0, 1, 2)
+            if code:
+                assert stderr.getvalue().splitlines()[-1].startswith("error: ")
 
 
 class TestRunConfigWhere:
@@ -313,6 +385,20 @@ class TestPredict:
             assert proc.stdout == ""
             lines = proc.stderr.strip().splitlines()
             assert len(lines) == 1 and lines[0].startswith("error: non-finite")
+
+    def test_overflowing_row_rejected(self, workspace):
+        dataset = generate(workspace)
+        model_path, _ = train(workspace, dataset)
+        tmp, _ = workspace
+        proc = run_cli(
+            "predict", str(model_path), "--row", "1e308,100,2000,100", cwd=tmp
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: feature at row 0, column 0 too far outside the training "
+            "range: 1e+308\n"
+        )
 
     def test_wrong_arity_row(self, workspace):
         dataset = generate(workspace)

@@ -79,6 +79,12 @@ class TestLinkBudget:
         with pytest.raises(ConfigurationError):
             FadingSpec(kind="gaussian_shadow", sigma_db=-1.0)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, "7", True])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ConfigurationError) as excinfo:
+            LinkBudget(tx_power_dbm=30.0, seed=seed)
+        assert str(excinfo.value) == f"seed must be int and >= 0, got {seed!r}"
+
     def test_budget_dict_round_trip(self):
         budgets = [
             LinkBudget(tx_power_dbm=30.0, seed=4),
@@ -222,6 +228,16 @@ class TestDistanceSweep:
             gen_distance_sweep(urban, 100.0, [500.0, 500.0])
         with pytest.raises(ConfigurationError):
             gen_distance_sweep(urban, 100.0, [])
+
+    @pytest.mark.parametrize("rx", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_rx_height_before_any_row(self, urban, rx):
+        message = f"rx_height_m must be finite and >= 0, got {rx!r}"
+        with pytest.raises(ConfigurationError) as excinfo:
+            gen_distance_sweep(urban, 100.0, [200.0, 400.0], rx_height_m=rx)
+        assert str(excinfo.value) == message
+        with pytest.raises(ConfigurationError) as excinfo:
+            gen_altitude_waypoints(urban, [50.0, 100.0], rx_height_m=rx)
+        assert str(excinfo.value) == message
 
     def test_bad_geometry_names_the_row(self, urban):
         with pytest.raises(DomainError) as excinfo:
@@ -447,6 +463,11 @@ class TestSplit:
             split(ds, 1.0, seed=0)
         with pytest.raises(ConfigurationError):
             split(ds, 0.0, seed=0)
+
+    def test_rejects_negative_seed(self, urban):
+        with pytest.raises(ConfigurationError) as excinfo:
+            split(self.make_dataset(urban), 0.8, seed=-1)
+        assert str(excinfo.value) == "seed must be int and >= 0, got -1"
 
 
 class TestFeaturesTargets:

@@ -1,0 +1,47 @@
+"""errors.require: the one range check behind every value object."""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from skylink.errors import RULES, ConfigurationError, DomainError, require
+
+
+@pytest.mark.parametrize("rule, good, bad", [
+    ("finite", [0, -1.5, 1e308, 10**300], [math.nan, math.inf, -math.inf, 10**400]),
+    ("int and >= 0", [0, 7, 2**64, np.int64(3)], [-1, 2.0, 2.5, math.nan]),
+    ("finite and > 0", [1e-300, 3], [0, -0.0, -1, math.inf, math.nan]),
+    ("in (0, 1)", [0.5], [0, 1, math.nan]),
+    ("in (0, 1]", [1, 0.5], [0, 1.0000001, math.nan]),
+    ("in [0, 90]", [0, 90, 45.5], [-1e-9, 90.1, math.nan]),
+])
+def test_rule_accepts_and_rejects(rule, good, bad):
+    for value in good:
+        require(ConfigurationError, {"x": rule}, {"x": value})
+    for value in bad:
+        with pytest.raises(ConfigurationError) as excinfo:
+            require(ConfigurationError, {"x": rule}, {"x": value})
+        assert str(excinfo.value) == f"x must be {rule}, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [True, False, None, "1", [], {}, 1j, np.bool_(1)])
+@pytest.mark.parametrize("rule", list(RULES))
+def test_non_numbers_fail_every_rule(rule, value):
+    with pytest.raises(DomainError):
+        require(DomainError, {"x": rule}, {"x": value})
+
+
+def test_first_failure_in_table_order_with_prefix():
+    values = {"a": 1.0, "b": 0, "c": -1, "unchecked": "x"}
+    with pytest.raises(DomainError) as excinfo:
+        require(DomainError, {"a": "finite", "b": "> 0", "c": "> 0"}, values, "env: ")
+    assert type(excinfo.value) is DomainError
+    assert str(excinfo.value) == "env: b must be > 0, got 0"
+
+
+def test_every_table_name_must_be_present():
+    with pytest.raises(KeyError):
+        require(DomainError, {"tau_detla": "finite"}, {"tau_delta": 1.0})

@@ -1,4 +1,4 @@
-"""Package surface and source hygiene: exported names, unused imports."""
+"""Package surface and source hygiene: exported names, imports, rule tables."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import skylink
+from skylink.errors import RULES
 
 SOURCES = sorted(
     p for p in Path(skylink.__file__).resolve().parent.glob("*.py")
@@ -45,3 +46,34 @@ def test_every_import_is_used(path):
         name: line for name, line in imported_names(tree).items() if name not in used
     }
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def rule_tables(tree: ast.Module) -> list[ast.Dict]:
+    """Dict literals used as require tables: passed to it, or bound to a name
+    that is passed to it or ends in _RULES."""
+    calls = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "require"
+    ]
+    passed = {call.args[1].id for call in calls if isinstance(call.args[1], ast.Name)}
+    tables = [call.args[1] for call in calls if isinstance(call.args[1], ast.Dict)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            if names & passed or any(n.endswith("_RULES") for n in names):
+                tables.append(node.value)
+    return tables
+
+
+def test_rule_strings_are_built_from_rule_terms():
+    """A typo in a rule fails here, not when someone first sets the field."""
+    checked, bad = 0, []
+    for path in SOURCES:
+        for table in rule_tables(ast.parse(path.read_text(encoding="utf-8"))):
+            for value in table.values:
+                checked += 1
+                rule = value.value if isinstance(value, ast.Constant) else None
+                terms = rule.split(" and ") if isinstance(rule, str) else [None]
+                if not set(terms) <= set(RULES):
+                    bad.append(f"{path.name}:{value.lineno}: {ast.unparse(value)}")
+    assert checked >= 40 and not bad, bad

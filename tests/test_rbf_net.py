@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -608,6 +609,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             RbfConfig(update_mode="newton")
 
+    @pytest.mark.parametrize("field, value, rule", [
+        ("epochs", 2.5, "int and > 0"),
+        ("m_hidden", True, "int and > 0"),
+        ("seed", "7", "int and >= 0"),
+        ("seed", -1, "int and >= 0"),
+        ("tau_delta", math.inf, "finite and >= 0"),
+    ])
+    def test_rejects_wrong_typed_values(self, field, value, rule):
+        with pytest.raises(ConfigurationError) as excinfo:
+            RbfConfig(**{field: value})
+        assert str(excinfo.value) == f"{field} must be {rule}, got {value!r}"
+
     def test_zero_rates_allowed(self):
         config = RbfConfig(tau_w=0.0, tau_mu=0.0, tau_delta=0.0)
         assert config.effective_tau_delta == 0.0
@@ -761,3 +774,17 @@ class TestNonFiniteInput:
         batch[2, 0] = bad
         with pytest.raises(DomainError, match="row 2, column 0"):
             net.predict(batch)
+
+    def test_predict_rejects_overflowing_distance(self):
+        X, Y = toy_problem()
+        net, _ = train(init_network(self.config(), X), X, Y, self.config())
+        batch = np.full((PREDICT_CHUNK + 5, 2), 0.5)
+        batch[PREDICT_CHUNK + 2, 1] = 1e308  # finite, but its distance is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as excinfo:
+                net.predict(batch)
+        assert str(excinfo.value) == (
+            f"feature at row {PREDICT_CHUNK + 2}, column 1 too far outside "
+            "the training range: 1e+308"
+        )
