@@ -83,6 +83,8 @@ class Environment:
     sigmoid: tuple[float, float] | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ConfigurationError(f"environment name {self.name!r} is not a string")
         prefix = f"environment {self.name!r}: "
         require(ConfigurationError, {
             "alpha": "in (0, 1]", "beta": "finite and > 0", "gamma": "finite and > 0",
@@ -179,7 +181,7 @@ def environment_from_dict(data: dict) -> Environment:
     # field types are strings: this module postpones annotations
     floats = [f.name for f in fields(Environment) if f.type == "float"]
     return Environment(
-        name=str(data["name"]),
+        name=data["name"],
         **{name: float(data[name]) for name in floats},
         c=data.get("c"),  # c and sigmoid entries become floats in Environment
         sigmoid=None if sig is None else (sig["a"], sig["b"]),
@@ -380,7 +382,7 @@ def plos_product(
     m = math.floor((r / 1000.0) * math.sqrt(env.alpha * env.beta) - 1.0)
     if m < 0:
         return 1.0
-    two_gamma_sq = 2.0 * env.gamma * env.gamma
+    two_gamma_sq = 2.0 * env.gamma * env.gamma or math.ulp(0.0)  # gamma**2 underflowed
     scale = (h_t - h_r) / (m + 1) if mode == "canonical" else (h_t - h_r)
     log_p = 0.0
     for n in range(m + 1):
@@ -416,8 +418,11 @@ def plos_holis(env: Environment, theta_deg: float) -> float:
     if theta_deg <= c3:
         p = c2
     else:
-        p = c1 - (c1 - c2) / (1.0 + ((theta_deg - c3) / c4) ** c5)
-    if p < 0.0 or p > 1.0:
+        try:
+            p = c1 - (c1 - c2) / (1.0 + ((theta_deg - c3) / c4) ** c5)
+        except ArithmeticError:  # the power is past the float range: P is c1
+            p = c1
+    if not 0.0 <= p <= 1.0:  # NaN too, from c1 - c2 past the float range
         clamped = min(1.0, max(0.0, p))
         logger.warning(
             "plos_holis(%s, theta=%g) = %g outside [0, 1]; clamped to %g",
@@ -444,7 +449,10 @@ def plos_sigmoid(env: Environment, theta_deg: float) -> float:
     if not (0.0 <= theta_deg <= 90.0):
         raise DomainError(f"theta_deg must be in [0, 90], got {theta_deg}")
     a, b = env.sigmoid
-    return 1.0 / (1.0 + a * math.exp(-b * (theta_deg - a)))
+    try:
+        return 1.0 / (1.0 + a * math.exp(-b * (theta_deg - a)))
+    except OverflowError:  # a exp(...) is past the float range: P is 0
+        return 0.0
 
 
 # Sigmoid fit search windows; geometric grids refined around the best cell.
@@ -519,8 +527,8 @@ def mean_path_loss(
     P_los * PL_los + (1 - P_los) * PL_nlos with P_los from the selected
     model ("sigmoid", "holis" or "product"). The angle-based models use
     the geometry's elevation angle; the product model uses the ground
-    distance with the given receiver height. Always lies between the LoS
-    and NLoS branches.
+    distance with the given receiver height. Lies between the LoS and NLoS
+    branches, to within rounding.
     """
     p = _plos_fn(plos_model)(
         params.env, elevation_angle(geom), geom.h, geom.r, rx_height_m

@@ -29,6 +29,7 @@ from . import rbf_net
 from .errors import (
     ConfigurationError,
     DomainError,
+    FitError,
     SchemaError,
     SkylinkError,
     parse_json,
@@ -43,7 +44,7 @@ LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
-FEATURE_HEADER = ["D_m", "H_m", "F_MHz", "PL_dB"]
+FEATURE_HEADER = datagen.CSV_HEADER[2:6]
 
 _MISSING = object()
 
@@ -114,13 +115,13 @@ class RunConfig:
 
     @contextlib.contextmanager
     def reading(self, dotted: str):
-        """Report a wrong-typed value under ``dotted``; skylink errors pass."""
+        """Report a bad value under ``dotted``; errors located in this file pass."""
         try:
             yield
         except (
             ArithmeticError, AttributeError, KeyError, TypeError, ValueError
         ) as exc:
-            if isinstance(exc, SkylinkError):
+            if str(exc).startswith(f"{self.path}:"):  # located by fail() or get()
                 raise
             raise self.fail(dotted, f"malformed value: {exc}") from exc
 
@@ -191,9 +192,7 @@ def _distances_from_block(cfg: RunConfig, block: dict) -> list[float]:
 
 
 def _scenario_dataset(
-    cfg: RunConfig,
-    env: cm.Environment,
-    budget: datagen.LinkBudget,
+    cfg: RunConfig, env: cm.Environment, budget: datagen.LinkBudget,
     force_kind: str | None = None,
 ) -> datagen.Dataset:
     block = cfg.get("scenario", {})
@@ -276,21 +275,17 @@ def cmd_train(args) -> int:
     net, rbf_cfg, report = _train_model(cfg, dataset, args.seed)
     model_path = os.path.join(out, "model.json")
     rbf_net.save_model(model_path, net, rbf_cfg)
-    report_path = os.path.join(out, "training_report.csv")
-    datagen.write_curve_csv(
-        report_path,
-        [
-            _provenance(cfg),
-            f"final_train_rmse_db={_fmt(report.final_train_rmse_db)}",
-            f"final_val_rmse_db={_fmt(report.final_val_rmse_db)}",
-        ],
-        ["epoch", "mse"],
-        [[e, m] for e, m in enumerate(report.mse_per_epoch)],
+    rmse = [
+        f"train_rmse_db={_fmt(report.final_train_rmse_db)}",
+        f"val_rmse_db={_fmt(report.final_val_rmse_db)}",
+    ]
+    report_path = _write_curve(
+        cfg, out, "training_report", [f"final_{line}" for line in rmse],
+        ["epoch", "mse"], [[e, m] for e, m in enumerate(report.mse_per_epoch)],
     )
     print(f"wrote model to {model_path}")
     print(f"wrote report to {report_path}")
-    print(f"train_rmse_db={_fmt(report.final_train_rmse_db)}")
-    print(f"val_rmse_db={_fmt(report.final_val_rmse_db)}")
+    print(*rmse, sep="\n")
     mse = report.mse_per_epoch
     if rbf_cfg.update_mode == "paper_literal" and mse[-1] >= mse[0]:
         print(
@@ -311,25 +306,11 @@ def _predict_features(args) -> np.ndarray:
         return np.array([values], dtype=float)
     with open(args.input, encoding="utf-8", newline="") as fh:
         first = fh.readline().strip()
-        if first == ",".join(FEATURE_HEADER):
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != len(FEATURE_HEADER):
-                    raise SchemaError(
-                        f"{args.input}:{lineno}: expected "
-                        f"{len(FEATURE_HEADER)} fields, got {len(parts)}"
-                    )
-                try:
-                    rows.append([float(v) for v in parts])
-                except ValueError as exc:
-                    raise SchemaError(f"{args.input}:{lineno}: {exc}") from None
-            if not rows:
-                raise SchemaError(f"{args.input}: no data rows")
-            return np.array(rows, dtype=float)
+    if first == ",".join(FEATURE_HEADER):
+        _, _, rows = datagen.read_curve_csv(args.input)
+        if not rows:
+            raise SchemaError(f"{args.input}: no data rows")
+        return np.array(rows, dtype=float)
     if first == ",".join(datagen.CSV_HEADER):
         x, _ = datagen.features_targets(datagen.read_dataset(args.input))
         return x
@@ -342,10 +323,6 @@ def _predict_features(args) -> np.ndarray:
 def cmd_predict(args) -> int:
     net, _ = rbf_net.load_model(args.model)
     features = _predict_features(args)
-    if features.shape[1] != net.input_dim:
-        raise DomainError(
-            f"model expects {net.input_dim} features per row, got {features.shape[1]}"
-        )
     values = net.predict(features)
     outside = np.any(
         (features < net.norm.x_min) | (features > net.norm.x_max), axis=1
@@ -377,20 +354,22 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _provenance(cfg: RunConfig) -> str:
-    return f"skylink {__version__} config_sha256={cfg.sha256()}"
+def _write_curve(cfg: RunConfig, out: str, stem: str, notes, header, rows) -> str:
+    """Write out/<stem>.csv, provenance line first, stem made file-safe; its path."""
+    path = os.path.join(out, re.sub(r"[^A-Za-z0-9._-]", "_", stem) + ".csv")
+    comments = [f"skylink {__version__} config_sha256={cfg.sha256()}", *notes]
+    datagen.write_curve_csv(path, comments, header, rows)
+    return path
 
 
-def _safe_name(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]", "_", name)
-
-
-def _curve_rician(cfg: RunConfig, out: str) -> list[str]:
+def _curve_rician(cfg: RunConfig, args):
     with cfg.reading("curves"):
         k_list = [float(k) for k in cfg.get("curves.rician_k", [0.0, 50.0, 100.0])]
-        in_db = bool(cfg.get("curves.rician_k_db", False))
+        in_db = cfg.get("curves.rician_k_db", False)
         r_max = float(cfg.get("curves.rician_r_max", 3.0))
         points = int(cfg.get("curves.rician_points", 301))
+    if not isinstance(in_db, bool):
+        raise cfg.fail("curves", f"rician_k_db must be true or false, got {in_db!r}")
     if r_max <= 0.0 or points < 2:
         raise cfg.fail("curves", "rician grid needs r_max > 0 and points >= 2")
     grid = np.linspace(0.0, r_max, points)
@@ -403,26 +382,26 @@ def _curve_rician(cfg: RunConfig, out: str) -> list[str]:
         labels.append(f"K={k:g}{unit}" + (" (Rayleigh)" if k_lin == 0.0 else ""))
         columns.append([fading.rician_pdf(params, float(r)) for r in grid])
     header = ["r"] + [f"pdf_K{k:g}{unit}" for k in k_list]
-    rows = [
-        [float(r)] + [col[i] for col in columns] for i, r in enumerate(grid)
-    ]
-    path = os.path.join(out, "rician.csv")
-    comments = [
-        _provenance(cfg),
+    rows = [[float(r)] + [col[i] for col in columns] for i, r in enumerate(grid)]
+    notes = [
         "amplitude density, unit mean power per series",
         "series: " + ", ".join(labels),
     ]
-    datagen.write_curve_csv(path, comments, header, rows)
-    return [path]
+    yield "rician", notes, header, rows
 
 
-def _curve_plos_angle(cfg: RunConfig, out: str) -> list[str]:
+def _plos_setting(cfg: RunConfig):
+    """Environments, UAV and receiver heights of the P_LoS curves, and a note."""
     envs = _load_environments(cfg)
     with cfg.reading("curves"):
         h = float(cfg.get("curves.uav_height_m", 100.0))
         rx = float(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
+    return envs, h, rx, f"uav_height_m={_fmt(h)} rx_height_m={_fmt(rx)}"
+
+
+def _curve_plos_angle(cfg: RunConfig, args):
+    envs, h, rx, heights = _plos_setting(cfg)
     thetas = [float(t) for t in range(0, 91)]
-    written = []
     for env in envs.values():
         names = ["product"] + [  # the angle models need their parameters
             n for n, p in (("holis", env.c), ("sigmoid", env.sigmoid)) if p is not None
@@ -434,94 +413,78 @@ def _curve_plos_angle(cfg: RunConfig, out: str) -> list[str]:
             # not round-trip bit for bit.
             r = cm.ground_distance_for_angle(h, theta)
             rows.append([theta] + [plos(env, theta, h, r, rx) for plos in models])
-        path = os.path.join(out, f"plos_angle_{_safe_name(env.name)}.csv")
-        comments = [
-            _provenance(cfg),
-            f"environment={env.name} uav_height_m={_fmt(h)} rx_height_m={_fmt(rx)}",
-        ]
+        notes = [f"environment={env.name} {heights}"]
         header = ["theta_deg"] + [f"plos_{n}" for n in names]
-        datagen.write_curve_csv(path, comments, header, rows)
-        written.append(path)
-    return written
+        yield f"plos_angle_{env.name}", notes, header, rows
 
 
-def _curve_plos_fit(cfg: RunConfig, out: str) -> list[str]:
-    envs = _load_environments(cfg)
+def _curve_plos_fit(cfg: RunConfig, args):
+    envs, h, rx, heights = _plos_setting(cfg)
     with cfg.reading("curves"):
-        h = float(cfg.get("curves.uav_height_m", 100.0))
-        rx = float(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
         theta_min = int(float(cfg.get("curves.theta_min_deg", 10.0)))
     thetas = [float(t) for t in range(theta_min, 91)]
-    written = []
     for env in envs.values():
         produced = [
             cm.plos_product(env, h, rx, cm.ground_distance_for_angle(h, t))
             for t in thetas
         ]
-        fit_samples = [
-            (t, p) for t, p in zip(thetas, produced) if 0.0 < p < 1.0
-        ]
-        a, b = cm.fit_sigmoid(fit_samples)
+        fit_samples = [(t, p) for t, p in zip(thetas, produced) if 0.0 < p < 1.0]
+        try:
+            a, b = cm.fit_sigmoid(fit_samples)
+        except FitError as exc:
+            raise FitError(f"environment {env.name!r}: {exc}") from exc
         fit_env = dataclasses.replace(env, sigmoid=(a, b))
         fitted = [cm.plos_sigmoid(fit_env, t) for t in thetas]
-        rmse = float(
-            np.sqrt(np.mean((np.array(fitted) - np.array(produced)) ** 2))
-        )
+        rmse = float(np.sqrt(np.mean((np.array(fitted) - np.array(produced)) ** 2)))
         rows = [[t, p, f] for t, p, f in zip(thetas, produced, fitted)]
-        path = os.path.join(out, f"plos_fit_{_safe_name(env.name)}.csv")
-        comments = [
-            _provenance(cfg),
-            f"environment={env.name} uav_height_m={_fmt(h)} rx_height_m={_fmt(rx)}",
+        notes = [
+            f"environment={env.name} {heights}",
             f"fitted a={_fmt(a)} b={_fmt(b)} rmse={_fmt(rmse)}",
         ]
-        datagen.write_curve_csv(
-            path, comments,
-            ["theta_deg", "plos_product", "plos_sigmoid_fit"], rows,
-        )
-        written.append(path)
-    return written
+        header = ["theta_deg", "plos_product", "plos_sigmoid_fit"]
+        yield f"plos_fit_{env.name}", notes, header, rows
 
 
-def _curve_rss(cfg: RunConfig, out: str, args, kind: str) -> list[str]:
+_RSS_KINDS = {  # curve -> (scenario kind, feature column along the x axis)
+    "rss_distance": ("distance_sweep", 0), "rss_altitude": ("altitude_waypoints", 1),
+}
+
+
+def _curve_rss(cfg: RunConfig, args):
+    kind, axis = _RSS_KINDS[args.which]
     env = _selected_environment(cfg)
     budget = _budget(cfg, args.seed)
     dataset = _scenario_dataset(cfg, env, budget, force_kind=kind)
     net, _, report = _train_model(cfg, dataset, args.seed)
     x, y = datagen.features_targets(dataset)
     predicted = net.predict(x).reshape(-1)
-    axis = 0 if kind == "distance_sweep" else 1
-    header = ["D_m" if axis == 0 else "H_m", "rss_empirical_dbm", "rss_predicted_dbm"]
+    header = [FEATURE_HEADER[axis], "rss_empirical_dbm", "rss_predicted_dbm"]
     rows = [
         [float(x[i, axis]), float(y[i, 0]), float(predicted[i])]
         for i in range(x.shape[0])
     ]
-    path = os.path.join(out, f"{args.which}.csv")
-    comments = [
-        _provenance(cfg),
+    notes = [
         f"environment={env.name} scenario={kind}",
         f"val_rmse_db={_fmt(report.final_val_rmse_db)}",
     ]
-    datagen.write_curve_csv(path, comments, header, rows)
-    return [path]
+    yield args.which, notes, header, rows
 
 
-# curve name -> writer(cfg, out dir, args) returning the paths written
+# curve name -> generator(cfg, args) of (file stem, notes, header, rows) per file
 CURVES = {
-    "rician": lambda cfg, out, args: _curve_rician(cfg, out),
-    "plos_angle": lambda cfg, out, args: _curve_plos_angle(cfg, out),
-    "plos_fit": lambda cfg, out, args: _curve_plos_fit(cfg, out),
-    "rss_distance": lambda cfg, out, args: _curve_rss(cfg, out, args, "distance_sweep"),
-    "rss_altitude": lambda cfg, out, args: _curve_rss(
-        cfg, out, args, "altitude_waypoints"
-    ),
+    "rician": _curve_rician,
+    "plos_angle": _curve_plos_angle,
+    "plos_fit": _curve_plos_fit,
+    "rss_distance": _curve_rss,
+    "rss_altitude": _curve_rss,
 }
 
 
 def cmd_curves(args) -> int:
     cfg = RunConfig(args.config)
     out = _out_dir(args, cfg)
-    for path in CURVES[args.which](cfg, out, args):
-        print(f"wrote {path}")
+    for curve in CURVES[args.which](cfg, args):
+        print(f"wrote {_write_curve(cfg, out, *curve)}")
     return 0
 
 
@@ -575,7 +538,10 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except (SchemaError, ConfigurationError, DomainError, FileNotFoundError) as exc:
+    except (
+        SchemaError, ConfigurationError, DomainError, FileNotFoundError,
+        UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SkylinkError, OSError) as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -135,23 +136,24 @@ def _budget_to_dict(budget: LinkBudget) -> dict:
 
 def budget_from_dict(data: dict) -> LinkBudget:
     """Build a LinkBudget from its JSON form (config block or metadata)."""
+    num = lambda v: v if isinstance(v, bool) else float(v)  # the rules reject a bool
     fad = data.get("fading", {"kind": "off"})
     kind = fad.get("kind", "off")
     if kind == "rician":
         spec = FadingSpec(
             kind="rician",
-            rician=RicianParams(s=float(fad["s"]), delta=float(fad["delta"])),
+            rician=RicianParams(s=num(fad["s"]), delta=num(fad["delta"])),
         )
     elif kind == "gaussian_shadow":
-        spec = FadingSpec(kind="gaussian_shadow", sigma_db=float(fad["sigma_db"]))
+        spec = FadingSpec(kind="gaussian_shadow", sigma_db=num(fad["sigma_db"]))
     else:
         spec = FadingSpec(kind=kind)
     return LinkBudget(
-        tx_power_dbm=float(data["tx_power_dbm"]),
-        tx_gain_dbi=float(data.get("tx_gain_dbi", 0.0)),
-        rx_gain_dbi=float(data.get("rx_gain_dbi", 0.0)),
+        tx_power_dbm=num(data["tx_power_dbm"]),
+        tx_gain_dbi=num(data.get("tx_gain_dbi", 0.0)),
+        rx_gain_dbi=num(data.get("rx_gain_dbi", 0.0)),
         fading=spec,
-        seed=int(data.get("seed", 0)),
+        seed=data.get("seed", 0),  # as given: the rule rejects 2.5 and "7"
     )
 
 
@@ -416,27 +418,29 @@ def write_curve_csv(
 
 
 def read_curve_csv(path: str) -> tuple[list[str], list[str], list[list[float]]]:
-    """Read back a curve CSV: (comment lines, header, float rows)."""
-    comments = []
+    """Read back a curve CSV: (comment lines, header, float rows).
+
+    Blank lines are skipped; a row with more or fewer fields than the
+    header is a SchemaError.
+    """
     with open(path, encoding="utf-8", newline="") as fh:
-        pos = fh.tell()
-        while True:
-            line = fh.readline()
-            if line.startswith("#"):
-                comments.append(line[1:].strip())
-                pos = fh.tell()
-            else:
-                fh.seek(pos)
-                break
-        reader = csv.reader(fh)
+        lines = fh.readlines()
+    heads = itertools.takewhile(lambda line: line.startswith("#"), lines)
+    comments = [line[1:].strip() for line in heads]
+    reader = csv.reader(lines[len(comments):])
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: no header row")
+    rows = []
+    for lineno, row in enumerate(reader, start=len(comments) + 2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
+            )
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: no header row") from None
-        rows = []
-        for lineno, row in enumerate(reader, start=len(comments) + 2):
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise SchemaError(f"{path}:{lineno}: {exc}") from None
     return comments, header, rows

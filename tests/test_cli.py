@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import copy
 import io
 import json
@@ -109,17 +110,20 @@ class TestGenerate:
         assert proc.returncode == 2
         assert "run.json:2" in proc.stderr
 
-    def test_malformed_environment_entry(self, tmp_path, env_file):
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", "abc", "{path}: entry 1: could not convert string to float: 'abc'"),
+        ("name", None, "environment name None is not a string"),
+    ], ids=["alpha", "name"])
+    def test_malformed_environment_entry(self, tmp_path, env_file, key, value, message):
         envs = json.loads(env_file.read_text(encoding="utf-8"))
-        envs[1]["alpha"] = "abc"
+        envs[1][key] = value
         write_json(env_file, envs)
         cfg_path = tmp_path / "run.json"
         write_json(cfg_path, base_run_config(env_file))
         proc = run_cli("generate", "--config", str(cfg_path), cwd=tmp_path)
         assert proc.returncode == 2
-        assert proc.stderr == (
-            f"error: {env_file}: entry 1: could not convert string to float: 'abc'\n"
-        )
+        assert proc.stderr == f"error: {message.format(path=env_file)}\n"
+        assert not (tmp_path / "out" / "dataset.csv").exists()
 
 
 # (command, config key set, wrong-typed value, key the error names)
@@ -135,6 +139,10 @@ WRONG_TYPED = [
     ("curves rss_distance", "train.split_seed", math.inf, "train"),
     ("generate", "budget.seed", math.inf, "budget"),
     ("curves plos_fit", "curves.theta_min_deg", math.nan, "curves"),
+    ("generate", "budget.seed", 2.5, "budget"),
+    ("generate", "budget.seed", "7", "budget"),
+    ("generate", "budget.tx_power_dbm", True, "budget"),
+    ("curves rician", "curves.rician_k_db", "x", "curves"),
 ]
 
 
@@ -154,6 +162,15 @@ def test_wrong_typed_config_value(tmp_path, env_file, command, dotted, value, ke
     assert proc.returncode == 2
     assert proc.stderr.startswith(f"error: {cfg_path}:{line}: {key}: ")
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def run_main(*argv):
+    """cli.main in this process: (exit code, stdout, stderr)."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(list(argv))
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def json_leaves(node, path=()):
@@ -206,13 +223,10 @@ def test_fuzzed_config_leaf_never_escapes(leaf, value):
         write_json(Path("environments.json"), envs)
         write_json(Path("run.json"), cfg)
         for command, *rest in FUZZ_COMMANDS:
-            stderr = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(stderr):
-                code = cli.main([command, "--config", "run.json", *rest])
+            code, _, stderr = run_main(command, "--config", "run.json", *rest)
             assert code in (0, 1, 2)
             if code:
-                assert stderr.getvalue().splitlines()[-1].startswith("error: ")
+                assert stderr.splitlines()[-1].startswith("error: ")
 
 
 class TestRunConfigWhere:
@@ -328,6 +342,95 @@ class TestTrain:
         assert "bad.csv:1" in proc.stderr
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """Directory with fuzz_config()'s run.json, its 30-row out/dataset.csv,
+    out/model.json trained on it, and features.csv, the dataset's features."""
+    tmp = tmp_path_factory.mktemp("small_run")
+    write_json(tmp / "environments.json", ENVIRONMENTS)
+    write_json(tmp / "run.json", fuzz_config())
+    with contextlib.chdir(tmp):
+        assert run_main("generate", "--config", "run.json")[0] == 0
+        assert run_main("train", "--config", "run.json", "out/dataset.csv")[0] == 0
+    with open(tmp / "out" / "dataset.csv", encoding="utf-8", newline="") as fh:
+        table = [row[2:6] for row in csv.reader(fh)]
+    (tmp / "features.csv").write_text(
+        "".join(",".join(row) + "\n" for row in table), encoding="utf-8"
+    )
+    return tmp
+
+
+def csv_commands(run_dir, path, out):
+    """train (writing to out), predict --input and eval, on the CSV at path."""
+    model = str(run_dir / "out" / "model.json")
+    return [
+        ["train", "--config", str(run_dir / "run.json"), path, "--out", out],
+        ["predict", model, "--input", path],
+        ["eval", model, path],
+    ]
+
+
+FIELD_VALUES = ["", "x", "nan", "1e999", "-0"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    features=st.booleans(),
+    mutation=st.sampled_from(["field", "drop", "add", "blank", "0xff"]),
+    line=st.integers(0, 40),
+    column=st.integers(0, 7),
+    value=st.sampled_from(FIELD_VALUES),
+)
+def test_fuzzed_csv_never_escapes(small_run, features, mutation, line, column, value):
+    """One mutation of a dataset or feature CSV ends in an exit code.
+
+    train, predict --input and eval read the CSV; each exits 0, 1 or 2, and a
+    non-zero exit ends in an `error:` line. No exception escapes.
+    """
+    source = small_run / ("features.csv" if features else "out/dataset.csv")
+    lines = source.read_bytes().splitlines(keepends=True)
+    i = line % len(lines)
+    fields = lines[i].rstrip(b"\n").split(b",")
+    j = column % len(fields)
+    if mutation == "field":
+        fields[j] = value.encode()
+    elif mutation == "drop":
+        del fields[j]
+    elif mutation == "add":
+        fields.insert(j, b"1.0")
+    if mutation == "blank":
+        lines.insert(i, b"\n")
+    elif mutation == "0xff":
+        lines.insert(i, b"\xff" + lines[i])
+    else:
+        lines[i] = b",".join(fields) + b"\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.csv")
+        Path(path).write_bytes(b"".join(lines))
+        for argv in csv_commands(small_run, path, tmp):
+            code, _, stderr = run_main(*argv)
+            assert code in (0, 1, 2)
+            if code:
+                assert stderr.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("target", ["config", "dataset", "features"])
+def test_non_utf8_file_exits_2(small_run, tmp_path, target):
+    """A user's file that is not UTF-8 gives exit 2 and one `error:` line."""
+    bad = tmp_path / "bad"
+    if target == "config":
+        bad.write_bytes(b'{"environment": "\xff"}\n')
+        commands = [["generate", "--config", str(bad)]]
+    else:
+        name = "out/dataset.csv" if target == "dataset" else "features.csv"
+        bad.write_bytes((small_run / name).read_bytes() + b"\xff\n")
+        commands = csv_commands(small_run, str(bad), str(tmp_path))
+    for argv in commands:
+        code, stdout, stderr = run_main(*argv)
+        assert (code, stdout) == (2, "")
+        assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+
+
 class TestPredict:
     def test_row_matches_library_prediction(self, workspace):
         dataset = generate(workspace)
@@ -350,16 +453,16 @@ class TestPredict:
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.strip().splitlines()) == 60
 
-    def test_feature_only_input(self, workspace):
+    @pytest.mark.parametrize("rows", [
+        "500.0,100.0,2000.0,105.0\n900.0,100.0,2000.0,110.0\n",
+        "500.0,100.0,2000.0,105.0\n\n\n900.0,100.0,\"2000.0\",110.0\n\n",
+    ], ids=["plain", "blank_lines_quoted_field"])
+    def test_feature_only_input(self, workspace, rows):
         dataset = generate(workspace)
         model_path, _ = train(workspace, dataset)
         tmp, _ = workspace
         feats = tmp / "features.csv"
-        feats.write_text(
-            "D_m,H_m,F_MHz,PL_dB\n500.0,100.0,2000.0,105.0\n"
-            "900.0,100.0,2000.0,110.0\n",
-            encoding="utf-8",
-        )
+        feats.write_text("D_m,H_m,F_MHz,PL_dB\n" + rows, encoding="utf-8")
         proc = run_cli("predict", str(model_path), "--input", str(feats), cwd=tmp)
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.strip().splitlines()) == 2
@@ -407,15 +510,23 @@ class TestPredict:
         proc = run_cli("predict", str(model_path), "--row", "1.0,2.0", cwd=tmp)
         assert proc.returncode == 2
 
-    def test_empty_feature_file(self, workspace):
+    @pytest.mark.parametrize("rows, message", [
+        ("", "no data rows"),
+        ("\n\n", "no data rows"),
+        (
+            "500.0,100.0,2000.0,105.0\n\n900.0,100.0,2000.0\n",
+            "features.csv:4: expected 4 fields, got 3",
+        ),
+    ], ids=["empty", "blank_lines", "ragged_row"])
+    def test_empty_feature_file(self, workspace, rows, message):
         dataset = generate(workspace)
         model_path, _ = train(workspace, dataset)
         tmp, _ = workspace
         feats = tmp / "features.csv"
-        feats.write_text("D_m,H_m,F_MHz,PL_dB\n", encoding="utf-8")
+        feats.write_text("D_m,H_m,F_MHz,PL_dB\n" + rows, encoding="utf-8")
         proc = run_cli("predict", str(model_path), "--input", str(feats), cwd=tmp)
         assert proc.returncode == 2
-        assert "no data rows" in proc.stderr
+        assert message in proc.stderr
 
     def test_unrecognized_input_header(self, workspace):
         dataset = generate(workspace)
@@ -558,6 +669,32 @@ class TestCurves:
         assert match
         assert float(match.group(3)) < 0.05
         assert [r[0] for r in rows] == [float(t) for t in range(10, 91)]
+
+    @pytest.mark.parametrize("block, key, failing, written", [
+        ("curves", "uav_height_m", "suburban", []),
+        ("environment", "beta", "urban", ["suburban"]),
+    ], ids=["uav_height", "environment_beta"])
+    def test_plos_fit_failure_names_environment(
+        self, tmp_path, env_file, block, key, failing, written
+    ):
+        """A product curve with no P_LoS inside (0, 1) names its environment;
+        the files written before it are reported."""
+        cfg, envs = base_run_config(env_file), copy.deepcopy(ENVIRONMENTS)
+        (cfg["curves"] if block == "curves" else envs[1])[key] = 2.5
+        write_json(env_file, envs)
+        write_json(tmp_path / "run.json", cfg)
+        proc = run_cli("curves", "plos_fit", "--config", "run.json", cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"error: environment {failing!r}: need at least 3 samples, got 0\n"
+        )
+        out = tmp_path / "out"
+        assert proc.stdout == "".join(
+            f"wrote {out.name}/plos_fit_{name}.csv\n" for name in written
+        )
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"plos_fit_{name}.csv" for name in written
+        ]
 
     def test_rss_distance_curve(self, workspace):
         tmp, cfg = workspace

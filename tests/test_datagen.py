@@ -676,6 +676,21 @@ class TestCurveCsv:
         assert header == ["x", "y"]
         assert back == rows
 
+    @pytest.mark.parametrize("text, rows, error", [
+        ("# c\na,b\n\n1,2\n\n3,4\n\n", [[1.0, 2.0], [3.0, 4.0]], None),
+        ("# c\na,b\n1,2\n3\n", None, "curve.csv:4: expected 2 fields, got 1"),
+        ("# c\na,b\n\n1,2,3\n", None, "curve.csv:4: expected 2 fields, got 3"),
+        ("# c\na,b\n1,x\n", None, "curve.csv:3: could not convert"),
+    ], ids=["blank_lines", "short_row", "long_row", "not_a_number"])
+    def test_reads_rows(self, tmp_path, text, rows, error):
+        path = tmp_path / "curve.csv"
+        path.write_text(text, encoding="utf-8")
+        if error is None:
+            assert read_curve_csv(path) == (["c"], ["a", "b"], rows)
+        else:
+            with pytest.raises(SchemaError, match=error):
+                read_curve_csv(path)
+
     def test_comment_prefix_format(self, tmp_path):
         path = tmp_path / "curve.csv"
         write_curve_csv(path, ["note"], ["x"], [[1.0]])

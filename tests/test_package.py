@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import ast
+import re
 import types
 from pathlib import Path
 
 import pytest
 
 import skylink
+from skylink import cli
 from skylink.errors import RULES
 
 SOURCES = sorted(
@@ -77,3 +79,20 @@ def test_rule_strings_are_built_from_rule_terms():
                 if not set(terms) <= set(RULES):
                     bad.append(f"{path.name}:{value.lineno}: {ast.unparse(value)}")
     assert checked >= 40 and not bad, bad
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_every_curve_and_curves_key():
+    """README's curve commands and `curves` config row match cli.py."""
+    text = README.read_text(encoding="utf-8")
+    assert re.findall(r"^skylink curves +(\S+)", text, re.M) == list(cli.CURVES)
+    row = next(line for line in text.splitlines() if line.startswith("| `curves` |"))
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    keys = {
+        node.value.removeprefix("curves.") for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and node.value.startswith("curves.")
+    }
+    assert set(re.findall(r"`(\w+)`", row.split("|")[2])) == keys

@@ -7,17 +7,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from skylink import (
+    A2GParams,
     ConfigurationError,
     DomainError,
     Environment,
     FitError,
+    LinkGeometry,
+    a2g_path_loss,
     fit_sigmoid,
+    mean_path_loss,
     plos_holis,
     plos_product,
     plos_sigmoid,
 )
+from skylink.channel_models import PLOS
 
 
 def product_oracle(alpha, beta, gamma, h_t, h_r, r, literal=False):
@@ -263,3 +269,61 @@ class TestSigmoidFit:
             fit_sigmoid([(10.0, 0.0), (20.0, 0.4), (30.0, 0.6)])
         with pytest.raises(FitError):
             fit_sigmoid([(10.0, 0.2), (20.0, math.nan), (30.0, 0.6)])
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+@st.composite
+def environments(draw):
+    """Any environment the Environment rules accept, with both angle models.
+
+    beta stays below 1e4 per km^2: plos_product loops over the buildings
+    along the path, so beta and r bound its run time, not its value.
+    """
+    eps_los = draw(st.floats(0.0, 1e3))
+    return Environment(
+        name="drawn",
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        beta=draw(st.floats(0.0, 1e4, exclude_min=True)),
+        gamma=draw(POSITIVE),
+        eps_los_db=eps_los,
+        eps_nlos_db=eps_los + draw(st.floats(0.0, 1e3)),
+        c=(draw(FINITE), draw(FINITE), draw(FINITE), draw(POSITIVE), draw(FINITE)),
+        sigmoid=(draw(POSITIVE), draw(POSITIVE)),
+    )
+
+
+ANGLES = st.floats(0.0, 90.0)
+HEIGHTS = st.floats(1e-3, 1e4)
+RANGES = st.floats(0.0, 1e5)  # metres; with beta, bounds the product's loop
+
+
+class TestProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(environments(), ANGLES, HEIGHTS, RANGES, st.floats(0.0, 0.99))
+    def test_every_model_lies_in_unit_interval(self, env, theta, h, r, rx_share):
+        for name, plos in PLOS.items():
+            assert 0.0 <= plos(env, theta, h, r, h * rx_share) <= 1.0, name
+
+    @settings(max_examples=300, deadline=None)
+    @given(environments(), ANGLES, ANGLES)
+    def test_sigmoid_rises_with_angle(self, env, theta_1, theta_2):
+        low, high = sorted((theta_1, theta_2))
+        assert plos_sigmoid(env, low) <= plos_sigmoid(env, high)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        environments(), HEIGHTS, RANGES, st.floats(1e6, 1e11),
+        st.sampled_from(sorted(PLOS)),
+    )
+    def test_mean_path_loss_between_branches(self, env, h, r, f_c, model):
+        params, geom = A2GParams(f_c=f_c, env=env), LinkGeometry(h=h, r=r)
+        mean = mean_path_loss(params, geom, model, rx_height_m=h / 2)
+        los = a2g_path_loss(params, geom, los=True)
+        nlos = a2g_path_loss(params, geom, los=False)
+        # p * los + (1 - p) * nlos rounds three times, each within an ulp of
+        # the larger branch; with los == nlos it can land an ulp off.
+        tol = 4 * math.ulp(max(abs(los), abs(nlos)))
+        assert los - tol <= mean <= nlos + tol
