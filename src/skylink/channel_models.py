@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     FitError,
     SchemaError,
-    SkylinkError,
+    as_number,
     parse_json,
     require,
 )
@@ -97,7 +97,7 @@ class Environment:
             )
         for name, rules in (("c", _C_RULES), ("sigmoid", _SIGMOID_RULES)):
             if getattr(self, name) is not None:
-                value = tuple(map(float, getattr(self, name)))
+                value = tuple(map(as_number, getattr(self, name)))
                 object.__setattr__(self, name, value)
                 if len(value) != len(rules):
                     raise ConfigurationError(
@@ -117,45 +117,21 @@ _SIGMOID_RULES = {"sigmoid a": "finite and > 0", "sigmoid b": "finite and > 0"}
 def load_environments(path: str) -> dict[str, Environment]:
     """Load environment definitions from a JSON file.
 
-    The file holds a JSON array with one object per environment. Required
-    keys per object: name, alpha, beta, gamma, eps_los_db, eps_nlos_db.
-    Optional keys: c (array of 5 numbers), sigmoid (object with keys a, b).
-    Any other key is a schema error, as are a duplicate name and a value
-    that is not a number. Each entry is built by environment_from_dict.
+    The file holds a JSON array with one object per environment, each read
+    by environment_from_dict; its schema errors, and a duplicate name, are
+    SchemaErrors prefixed with the file and entry index.
     """
     with open(path, encoding="utf-8") as fh:
         raw = parse_json(fh.read(), path)
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: expected a JSON array of environments")
-    required = {f.name for f in fields(Environment) if f.default is MISSING}
     envs: dict[str, Environment] = {}
     for i, item in enumerate(raw):
-        if not isinstance(item, dict):
-            raise SchemaError(f"{path}: entry {i} is not an object")
-        keys = set(item)
-        missing = required - keys
-        unknown = keys - {f.name for f in fields(Environment)}
-        if missing:
-            raise SchemaError(
-                f"{path}: entry {i} missing keys {sorted(missing)}"
-            )
-        if unknown:
-            raise SchemaError(
-                f"{path}: entry {i} has unknown keys {sorted(unknown)}"
-            )
-        c = item.get("c")
-        if c is not None and (not isinstance(c, list) or len(c) != 5):
-            raise SchemaError(f"{path}: entry {i}: c must be an array of 5 numbers")
-        sig = item.get("sigmoid")
-        if sig is not None and (not isinstance(sig, dict) or set(sig) != {"a", "b"}):
-            raise SchemaError(
-                f"{path}: entry {i}: sigmoid must be an object with keys a, b"
-            )
         try:
             env = environment_from_dict(item)
+        except ConfigurationError:
+            raise  # a range error names its environment
         except (TypeError, ValueError) as exc:
-            if isinstance(exc, SkylinkError):
-                raise
             raise SchemaError(f"{path}: entry {i}: {exc}") from exc
         if env.name in envs:
             raise SchemaError(f"{path}: duplicate environment name {env.name!r}")
@@ -176,14 +152,31 @@ def environment_to_dict(env: Environment) -> dict:
 
 
 def environment_from_dict(data: dict) -> Environment:
-    """Inverse of environment_to_dict."""
-    sig = data.get("sigmoid")
+    """Inverse of environment_to_dict, for an environment file entry or a sidecar.
+
+    Required keys: name, alpha, beta, gamma, eps_los_db, eps_nlos_db;
+    optional: c (array of 5 numbers), sigmoid (object with keys a, b). A
+    missing or unknown key, or a malformed c or sigmoid, is a SchemaError.
+    """
+    if not isinstance(data, dict):
+        raise SchemaError(f"not an object: {data!r}")
+    missing = {f.name for f in fields(Environment) if f.default is MISSING} - set(data)
+    unknown = set(data) - {f.name for f in fields(Environment)}
+    if missing:
+        raise SchemaError(f"missing keys {sorted(missing)}")
+    if unknown:
+        raise SchemaError(f"unknown keys {sorted(unknown)}")
+    c, sig = data.get("c"), data.get("sigmoid")
+    if c is not None and (not isinstance(c, list) or len(c) != 5):
+        raise SchemaError("c must be an array of 5 numbers")
+    if sig is not None and (not isinstance(sig, dict) or sig.keys() != {"a", "b"}):
+        raise SchemaError("sigmoid must be an object with keys a, b")
     # field types are strings: this module postpones annotations
     floats = [f.name for f in fields(Environment) if f.type == "float"]
     return Environment(
         name=data["name"],
-        **{name: float(data[name]) for name in floats},
-        c=data.get("c"),  # c and sigmoid entries become floats in Environment
+        **{name: as_number(data[name]) for name in floats},
+        c=c,  # c and sigmoid entries become numbers in Environment
         sigmoid=None if sig is None else (sig["a"], sig["b"]),
     )
 
@@ -359,7 +352,8 @@ def plos_product(
     with m = floor(r sqrt(alpha beta) - 1). beta counts buildings per
     square kilometre, so the ground distance r (metres) is converted to
     kilometres for the building count. m < 0 means no obstruction
-    candidates and probability 1; r = infinity gives probability 0.
+    candidates and probability 1; r = infinity gives probability 0. More
+    than 10^6 buildings (m + 1) is a DomainError.
 
     In "paper_literal" mode the ray-height term drops the division by
     (m + 1), reproducing a variant without the per-building position
@@ -382,6 +376,8 @@ def plos_product(
     m = math.floor((r / 1000.0) * math.sqrt(env.alpha * env.beta) - 1.0)
     if m < 0:
         return 1.0
+    if m + 1 > 10**6:  # one loop step per building
+        raise DomainError(f"r={r}: m + 1 = {m + 1} buildings on the path, over 10^6")
     two_gamma_sq = 2.0 * env.gamma * env.gamma or math.ulp(0.0)  # gamma**2 underflowed
     scale = (h_t - h_r) / (m + 1) if mode == "canonical" else (h_t - h_r)
     log_p = 0.0

@@ -176,55 +176,18 @@ def _rbf_config(cfg: RunConfig, seed_override: int | None) -> rbf_net.RbfConfig:
         return rbf_net.RbfConfig(**block)
 
 
-def _distances_from_block(cfg: RunConfig, block: dict) -> list[float]:
-    spec = block.get("distances_m")
-    if spec is None:
-        raise cfg.fail("scenario.distances_m", "missing from distance_sweep scenario")
-    if isinstance(spec, list):
-        return [float(v) for v in spec]
-    if isinstance(spec, dict) and set(spec) == {"start", "stop", "count"}:
-        return np.linspace(
-            float(spec["start"]), float(spec["stop"]), int(spec["count"])
-        ).tolist()
-    raise cfg.fail(
-        "scenario.distances_m", "must be a list or an object with start, stop, count"
-    )
-
-
 def _scenario_dataset(
     cfg: RunConfig, env: cm.Environment, budget: datagen.LinkBudget,
-    force_kind: str | None = None,
+    kind: str | None = None,
 ) -> datagen.Dataset:
-    block = cfg.get("scenario", {})
+    """The config's scenario, as its own kind or as ``kind`` from the same block."""
     with cfg.reading("scenario"):
-        kind = block.get("kind", force_kind)
-        if force_kind is not None and kind != force_kind:
-            block = {}
-            kind = force_kind
-        common = dict(
-            f_mhz=float(block.get("f_mhz", datagen.DEFAULT_FREQUENCY_MHZ)),
-            budget=budget,
-            pl_model=cfg.get("pl_model", "a2g_mean"),
-            plos_model=cfg.get("plos_model", "sigmoid"),
-            rx_height_m=float(block.get("rx_height_m", datagen.DEFAULT_RX_HEIGHT_M)),
-        )
-        if kind == "distance_sweep":
-            if "distances_m" in block or "h_m" in block:
-                distances = _distances_from_block(cfg, block)
-                h_m = float(block.get("h_m", 100.0))
-            else:
-                distances = np.linspace(100.0, 2000.0, 200).tolist()
-                h_m = 100.0
-            generate, layout = datagen.gen_distance_sweep, (h_m, distances)
-        elif kind == "altitude_waypoints":
-            altitudes = block.get("altitudes_m")
-            if altitudes is not None:
-                altitudes = [float(v) for v in altitudes]
-            r_ground = float(block.get("r_ground_m", datagen.DEFAULT_GROUND_DISTANCE_M))
-            generate, layout = datagen.gen_altitude_waypoints, (altitudes, r_ground)
-        else:
-            raise cfg.fail("scenario", f"unknown scenario kind {kind!r}")
-    return generate(env, *layout, **common)
+        block = cfg.get("scenario", {})
+        generate, args = datagen.scenario_layout(kind or block.get("kind"), block)
+    return generate(
+        env, budget=budget, pl_model=cfg.get("pl_model", "a2g_mean"),
+        plos_model=cfg.get("plos_model", "sigmoid"), **args,
+    )
 
 
 def _out_dir(args, cfg: RunConfig) -> str:
@@ -454,7 +417,7 @@ def _curve_rss(cfg: RunConfig, args):
     kind, axis = _RSS_KINDS[args.which]
     env = _selected_environment(cfg)
     budget = _budget(cfg, args.seed)
-    dataset = _scenario_dataset(cfg, env, budget, force_kind=kind)
+    dataset = _scenario_dataset(cfg, env, budget, kind)
     net, _, report = _train_model(cfg, dataset, args.seed)
     x, y = datagen.features_targets(dataset)
     predicted = net.predict(x).reshape(-1)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import channel_models as cm
-from .errors import ConfigurationError, DomainError, SchemaError, parse_json, require
+from .errors import ConfigurationError, DomainError, SchemaError
+from .errors import as_number, parse_json, require
 from .fading import RicianParams, _rician_power
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
@@ -32,6 +33,8 @@ FADING_KINDS = ("off", "rician", "gaussian_shadow")
 
 DEFAULT_ALTITUDES_M = tuple(float(h) for h in range(20, 201, 20))
 DEFAULT_GROUND_DISTANCE_M = 500.0
+DEFAULT_SWEEP_HEIGHT_M = 100.0
+DEFAULT_DISTANCES_M = {"start": 100.0, "stop": 2000.0, "count": 200}
 DEFAULT_FREQUENCY_MHZ = 2000.0
 DEFAULT_RX_HEIGHT_M = 1.5
 
@@ -136,22 +139,21 @@ def _budget_to_dict(budget: LinkBudget) -> dict:
 
 def budget_from_dict(data: dict) -> LinkBudget:
     """Build a LinkBudget from its JSON form (config block or metadata)."""
-    num = lambda v: v if isinstance(v, bool) else float(v)  # the rules reject a bool
     fad = data.get("fading", {"kind": "off"})
     kind = fad.get("kind", "off")
     if kind == "rician":
         spec = FadingSpec(
             kind="rician",
-            rician=RicianParams(s=num(fad["s"]), delta=num(fad["delta"])),
+            rician=RicianParams(s=as_number(fad["s"]), delta=as_number(fad["delta"])),
         )
     elif kind == "gaussian_shadow":
-        spec = FadingSpec(kind="gaussian_shadow", sigma_db=num(fad["sigma_db"]))
+        spec = FadingSpec(kind="gaussian_shadow", sigma_db=as_number(fad["sigma_db"]))
     else:
         spec = FadingSpec(kind=kind)
     return LinkBudget(
-        tx_power_dbm=num(data["tx_power_dbm"]),
-        tx_gain_dbi=num(data.get("tx_gain_dbi", 0.0)),
-        rx_gain_dbi=num(data.get("rx_gain_dbi", 0.0)),
+        tx_power_dbm=as_number(data["tx_power_dbm"]),
+        tx_gain_dbi=as_number(data.get("tx_gain_dbi", 0.0)),
+        rx_gain_dbi=as_number(data.get("rx_gain_dbi", 0.0)),
         fading=spec,
         seed=data.get("seed", 0),  # as given: the rule rejects 2.5 and "7"
     )
@@ -255,22 +257,48 @@ def gen_altitude_waypoints(
     )
 
 
+def scenario_layout(kind: str, block: dict) -> tuple:
+    """The generator of a scenario kind and its arguments, read from a block.
+
+    block is a run config's scenario block or a sidecar. Both kinds read
+    f_mhz and rx_height_m; distance_sweep reads h_m and distances_m (a
+    list or {start, stop, count}), altitude_waypoints reads altitudes_m
+    and r_ground_m. A key that is left out takes its default.
+    """
+    args = {
+        "f_mhz": float(block.get("f_mhz", DEFAULT_FREQUENCY_MHZ)),
+        "rx_height_m": float(block.get("rx_height_m", DEFAULT_RX_HEIGHT_M)),
+    }
+    if kind == "distance_sweep":
+        spec = block.get("distances_m", DEFAULT_DISTANCES_M)
+        if isinstance(spec, dict) and spec.keys() == {"start", "stop", "count"}:
+            spec = np.linspace(
+                float(spec["start"]), float(spec["stop"]), int(spec["count"])
+            ).tolist()
+        elif not isinstance(spec, list):
+            raise ConfigurationError(
+                "distances_m must be a list or an object with start, stop, count"
+            )
+        args["h_fixed"] = float(block.get("h_m", DEFAULT_SWEEP_HEIGHT_M))
+        args["distances"] = [float(v) for v in spec]
+        return gen_distance_sweep, args
+    if kind == "altitude_waypoints":
+        altitudes = block.get("altitudes_m")  # null: the default waypoints
+        if altitudes is not None:
+            args["altitudes"] = [float(v) for v in altitudes]
+        args["r_ground"] = float(block.get("r_ground_m", DEFAULT_GROUND_DISTANCE_M))
+        return gen_altitude_waypoints, args
+    raise ConfigurationError(f"unknown scenario kind {kind!r}")
+
+
 def generate_from_metadata(metadata: dict) -> Dataset:
     """Rebuild a dataset from a metadata sidecar; bit-identical output."""
-    env = cm.environment_from_dict(metadata["environment"])
-    shared = ("f_mhz", "pl_model", "plos_model", "rx_height_m")
-    common = {key: metadata[key] for key in shared}
-    common["budget"] = budget_from_dict(metadata["budget"])
-    kind = metadata.get("scenario")
-    if kind == "distance_sweep":
-        return gen_distance_sweep(
-            env, metadata["h_m"], metadata["distances_m"], **common
-        )
-    if kind == "altitude_waypoints":
-        return gen_altitude_waypoints(
-            env, metadata["altitudes_m"], metadata["r_ground_m"], **common
-        )
-    raise ConfigurationError(f"unknown scenario kind {kind!r} in metadata")
+    generate, args = scenario_layout(metadata.get("scenario"), metadata)
+    return generate(
+        cm.environment_from_dict(metadata["environment"]),
+        budget=budget_from_dict(metadata["budget"]),
+        pl_model=metadata["pl_model"], plos_model=metadata["plos_model"], **args,
+    )
 
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -315,17 +343,17 @@ def metadata_path_for(csv_path: str) -> str:
 
 
 def _csv_field(text: str) -> str:
-    """text as csv.writer writes it among other fields (quoted if needed)."""
+    """text as one CSV field, quoted as by csv.writer or if it has a carriage return."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text, ""])
-    return buf.getvalue()[:-2]
+    csv.writer(buf, lineterminator="\r\n").writerow([text, ""])  # "\n" leaves \r bare
+    return buf.getvalue()[:-3]
 
 
 def write_dataset(dataset: Dataset, csv_path: str) -> str:
     """Write the CSV and its JSON metadata sidecar; returns sidecar path.
 
     Floats are written in repr form (shortest exact round-trip), line
-    endings are line feeds; the bytes are those of csv.writer.
+    endings are line feeds; the bytes are csv.writer's but for a quoted CR.
     """
     scenarios = {sc: _csv_field(sc) for sc in {s.scenario for s in dataset.samples}}
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:

@@ -74,6 +74,11 @@ RULES = {
 }
 
 
+def as_number(value):
+    """float(value), except that a bool stays a bool for require to reject."""
+    return value if isinstance(value, bool) else float(value)
+
+
 def require(error: type, table: dict, values, prefix: str = "") -> None:
     """Check values[name], for each name in ``table``, against its rule.
 

@@ -17,7 +17,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from skylink import cli, load_model, read_curve_csv, read_dataset
+from skylink import (
+    budget_from_dict, cli, gen_distance_sweep, load_environments, load_model,
+    read_curve_csv, read_dataset,
+)
 from skylink.cli import RunConfig
 
 from conftest import ENVIRONMENTS, base_run_config, run_cli, write_json
@@ -113,7 +116,16 @@ class TestGenerate:
     @pytest.mark.parametrize("key, value, message", [
         ("alpha", "abc", "{path}: entry 1: could not convert string to float: 'abc'"),
         ("name", None, "environment name None is not a string"),
-    ], ids=["alpha", "name"])
+        ("alpha", True, "environment 'urban': alpha must be in (0, 1], got True"),
+        (
+            "c", [True, 0.0, 15.0, 12.0, 2.0],
+            "environment 'urban': c1 must be finite, got True",
+        ),
+        (
+            "sigmoid", {"a": True, "b": 0.16},
+            "environment 'urban': sigmoid a must be finite and > 0, got True",
+        ),
+    ], ids=["alpha", "name", "alpha_bool", "c_bool", "sigmoid_bool"])
     def test_malformed_environment_entry(self, tmp_path, env_file, key, value, message):
         envs = json.loads(env_file.read_text(encoding="utf-8"))
         envs[1][key] = value
@@ -143,6 +155,9 @@ WRONG_TYPED = [
     ("generate", "budget.seed", "7", "budget"),
     ("generate", "budget.tx_power_dbm", True, "budget"),
     ("curves rician", "curves.rician_k_db", "x", "curves"),
+    ("generate", "scenario.distances_m", "x", "scenario"),
+    ("curves rss_altitude", "scenario.altitudes_m", ["x"], "scenario"),
+    ("curves rss_distance", "scenario.f_mhz", "x", "scenario"),
 ]
 
 
@@ -227,6 +242,72 @@ def test_fuzzed_config_leaf_never_escapes(leaf, value):
             assert code in (0, 1, 2)
             if code:
                 assert stderr.splitlines()[-1].startswith("error: ")
+
+
+class TestScenarioBlock:
+    """Both rss curves read their scenario kind's keys from the config's block."""
+
+    @pytest.fixture
+    def run(self, tmp_path, env_file, monkeypatch):
+        """Write a small run config with ``scenario``, then run one command."""
+        monkeypatch.chdir(tmp_path)
+
+        def run(scenario, *command, **top):
+            cfg = base_run_config(env_file)
+            cfg["rbf"]["epochs"] = 2
+            cfg.update(scenario=scenario, **top)
+            write_json(tmp_path / "run.json", cfg)
+            return run_main(*command, "--config", "run.json")
+
+        return run
+
+    def test_forced_distance_sweep_keeps_frequency_and_rx_height(self, run, env_file):
+        scenario = {
+            "kind": "altitude_waypoints", "f_mhz": 900.0, "rx_height_m": 3.0,
+            "altitudes_m": [10.0 * (i + 1) for i in range(30)],
+        }
+        code, _, stderr = run(scenario, "curves", "rss_distance", plos_model="product")
+        assert code == 0, stderr
+        _, header, rows = read_curve_csv("out/rss_distance.csv")
+        want = gen_distance_sweep(
+            load_environments(env_file)["urban"], 100.0,
+            np.linspace(100.0, 2000.0, 200).tolist(), f_mhz=900.0,
+            budget=budget_from_dict(base_run_config(env_file)["budget"]),
+            plos_model="product", rx_height_m=3.0,
+        )
+        assert header[:2] == ["D_m", "rss_empirical_dbm"]
+        assert [row[:2] for row in rows] == [[s.d_m, s.rss_dbm] for s in want.samples]
+
+    def test_forced_altitude_waypoints_reads_altitudes_from_sweep_block(self, run):
+        altitudes = [10.0 * (i + 1) for i in range(30)]
+        scenario = {
+            "kind": "distance_sweep", "h_m": 100.0, "distances_m": [200.0, 300.0],
+            "altitudes_m": altitudes, "r_ground_m": 800.0,
+        }
+        code, _, stderr = run(scenario, "curves", "rss_altitude")
+        assert code == 0, stderr
+        comments, header, rows = read_curve_csv("out/rss_altitude.csv")
+        assert "environment=urban scenario=altitude_waypoints" in comments
+        assert header[0] == "H_m" and [row[0] for row in rows] == altitudes
+
+    def test_height_without_distances_takes_default_distances(self, run):
+        code, _, stderr = run({"kind": "distance_sweep", "h_m": 60.0}, "generate")
+        assert code == 0, stderr
+        ds = read_dataset("out/dataset.csv")
+        assert [s.d_m for s in ds.samples] == np.linspace(100.0, 2000.0, 200).tolist()
+        assert {s.h_m for s in ds.samples} == {60.0}
+
+    def test_generation_errors_keep_their_text(self, run):
+        scenario = {"kind": "distance_sweep", "distances_m": [300.0, 200.0]}
+        code, _, stderr = run(scenario, "generate")
+        assert (code, stderr) == (2, "error: distances must be strictly increasing\n")
+
+    def test_building_count_past_a_million_exits_2(self, run):
+        scenario = {"kind": "distance_sweep", "distances_m": [1e12]}
+        code, stdout, stderr = run(scenario, "generate", plos_model="product")
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: row 0: r=1000000000000.0: m + 1 = ")
+        assert stderr.endswith(" buildings on the path, over 10^6\n")
 
 
 class TestRunConfigWhere:

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import io
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skylink import (
     A2GParams,
@@ -24,6 +26,7 @@ from skylink import (
     LinkBudget,
     LinkGeometry,
     RicianParams,
+    Sample,
     SchemaError,
     budget_from_dict,
     elevation_angle,
@@ -48,6 +51,7 @@ from skylink import (
     write_dataset,
 )
 from skylink import channel_models
+from skylink.datagen import scenario_layout
 
 
 class TestLinkBudget:
@@ -662,6 +666,121 @@ class TestDatasetIO:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_dataset(tmp_path / "nope.csv")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def sample_bits(samples):
+    """Each sample's fields, floats as repr: tells -0.0 from 0.0."""
+    return [tuple(map(repr, dataclasses.astuple(s))) for s in samples]
+
+
+class TestDatasetRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scenario=st.text(),
+        rows=st.lists(
+            st.tuples(FINITE, FINITE, FINITE, FINITE, st.floats(0.0, 1.0), FINITE),
+            min_size=1, max_size=5,
+        ),
+    )
+    @example(scenario="a\rb", rows=[(-0.0, 5e-324, 1e308, -1e308, 0.0, -5e-324)])
+    def test_any_finite_floats_and_scenario_text(self, scenario, rows):
+        samples = [
+            Sample(i, scenario, d, h, f, pl, p, rss)
+            for i, (d, h, f, pl, p, rss) in enumerate(rows)
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            write_dataset(Dataset(samples=samples, metadata={"k": 1}), path)
+            back = read_dataset(path)
+        assert back.samples == samples
+        assert sample_bits(back.samples) == sample_bits(samples)
+        assert back.metadata == {"k": 1}
+
+
+class TestScenarioLayout:
+    def test_defaults(self):
+        generate, args = scenario_layout("distance_sweep", {})
+        assert generate is gen_distance_sweep
+        assert args == {
+            "f_mhz": 2000.0, "rx_height_m": 1.5, "h_fixed": 100.0,
+            "distances": np.linspace(100.0, 2000.0, 200).tolist(),
+        }
+        generate, args = scenario_layout("altitude_waypoints", {})
+        assert generate is gen_altitude_waypoints
+        assert args == {"f_mhz": 2000.0, "rx_height_m": 1.5, "r_ground": 500.0}
+
+    def test_each_kind_reads_its_own_keys(self):
+        block = {
+            "kind": "altitude_waypoints", "f_mhz": 900, "rx_height_m": 3,
+            "h_m": 50, "distances_m": [10, 20], "altitudes_m": [5, 6],
+            "r_ground_m": 70,
+        }
+        shared = {"f_mhz": 900.0, "rx_height_m": 3.0}
+        assert scenario_layout("distance_sweep", block)[1] == {
+            **shared, "h_fixed": 50.0, "distances": [10.0, 20.0],
+        }
+        assert scenario_layout("altitude_waypoints", block)[1] == {
+            **shared, "altitudes": [5.0, 6.0], "r_ground": 70.0,
+        }
+
+    @pytest.mark.parametrize("kind, block, message", [
+        ("orbit", {}, "unknown scenario kind 'orbit'"),
+        (None, {}, "unknown scenario kind None"),
+        (
+            "distance_sweep", {"distances_m": {"start": 1.0, "stop": 2.0}},
+            "distances_m must be a list or an object with start, stop, count",
+        ),
+        (
+            "distance_sweep", {"distances_m": "100"},
+            "distances_m must be a list or an object with start, stop, count",
+        ),
+    ])
+    def test_rejects(self, kind, block, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            scenario_layout(kind, block)
+        assert str(excinfo.value) == message
+
+
+class TestSidecar:
+    @pytest.mark.parametrize("change, message", [
+        (lambda env: env.pop("beta"), "missing keys ['beta']"),
+        (lambda env: env.update(extra=1), "unknown keys ['extra']"),
+        (lambda env: env["c"].pop(), "c must be an array of 5 numbers"),
+        (
+            lambda env: env.update(sigmoid={"a": 9.61}),
+            "sigmoid must be an object with keys a, b",
+        ),
+    ], ids=["missing", "unknown", "c4", "sigmoid"])
+    def test_environment_schema_checked(self, urban, change, message):
+        metadata = copy.deepcopy(gen_distance_sweep(urban, 100.0, [200.0]).metadata)
+        change(metadata["environment"])
+        with pytest.raises(SchemaError) as excinfo:
+            generate_from_metadata(metadata)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("kind", ["distance_sweep", "altitude_waypoints"])
+    def test_round_trip_is_byte_identical(self, tmp_path, urban, kind):
+        budget = LinkBudget(
+            tx_power_dbm=27.0, seed=4,
+            fading=FadingSpec(kind="rician", rician=RicianParams(s=1.0, delta=0.3)),
+        )
+        common = dict(
+            f_mhz=900.0, budget=budget, plos_model="product", rx_height_m=3.0
+        )
+        if kind == "distance_sweep":
+            ds = gen_distance_sweep(urban, 80.0, [150.0, 400.0, 1200.0], **common)
+        else:
+            ds = gen_altitude_waypoints(urban, [30.0, 90.0], 700.0, **common)
+        first = tmp_path / "first.csv"
+        write_dataset(ds, first)
+        second = tmp_path / "second.csv"
+        write_dataset(generate_from_metadata(read_dataset(first).metadata), second)
+        for ext in (".csv", ".json"):
+            a, b = (tmp_path / (stem + ext) for stem in ("first", "second"))
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestCurveCsv:

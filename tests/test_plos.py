@@ -117,6 +117,20 @@ class TestProductModel:
         with pytest.raises(ConfigurationError):
             plos_product(urban, 100.0, 1.5, 500.0, mode="other")
 
+    def test_more_than_a_million_buildings_rejected(self):
+        # sqrt(alpha beta) = 1, so m + 1 = floor(r / 1000) buildings.
+        unit = Environment(
+            name="unit", alpha=1.0, beta=1.0, gamma=15.0,
+            eps_los_db=1.0, eps_nlos_db=20.0,
+        )
+        # 10^6 buildings still run; a 2 m UAV drops below exp's range early.
+        assert plos_product(unit, 2.0, 1.5, 1e9) == 0.0
+        with pytest.raises(DomainError) as excinfo:
+            plos_product(unit, 2.0, 1.5, 1e9 + 1000.0)
+        assert str(excinfo.value) == (
+            "r=1000001000.0: m + 1 = 1000001 buildings on the path, over 10^6"
+        )
+
 
 class TestHolisModel:
     def test_pinned_midpoint(self):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from skylink import (
     train,
     train_step,
 )
-from skylink.rbf_net import PREDICT_CHUNK
+from skylink.rbf_net import PREDICT_CHUNK, UPDATE_MODES
 
 
 def identity_norm(input_dim, output_dim=1):
@@ -646,6 +648,49 @@ class TestPersistence:
         assert loaded_config == config
         probe = np.array([[0.2, 0.9], [0.7, 0.1]])
         np.testing.assert_array_equal(loaded.predict(probe), net.predict(probe))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_is_bit_exact_for_any_finite_parameters(self, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        rate = st.floats(min_value=0.0, allow_infinity=False)
+        m, d, out = (data.draw(st.integers(1, n)) for n in (4, 3, 2))
+
+        def array(shape, elements=finite):
+            size = math.prod(shape)
+            values = data.draw(st.lists(elements, min_size=size, max_size=size))
+            return np.array(values, dtype=float).reshape(shape)
+
+        def bounds(n):  # n columns of min < max
+            pairs = st.tuples(finite, finite).filter(lambda p: p[0] != p[1])
+            lo, hi = zip(*(sorted(p) for p in data.draw(
+                st.lists(pairs, min_size=n, max_size=n)
+            )))
+            return list(lo), list(hi)
+
+        norm = NormStats(*bounds(d), *bounds(out))
+        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+        spans = array((m,), positive)
+        net = RbfNetwork(array((m, d)), spans, array((out, m)), norm)
+        config = RbfConfig(
+            m_hidden=m, input_dim=d, output_dim=out, tau_w=data.draw(rate),
+            tau_mu=data.draw(rate), tau_delta=data.draw(st.none() | rate),
+            epochs=data.draw(st.integers(1, 10**6)),
+            seed=data.draw(st.integers(0, 2**64)),
+            update_mode=data.draw(st.sampled_from(UPDATE_MODES)),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(path, net, config)
+            loaded, loaded_config = load_model(path)
+        assert loaded_config == config
+        pairs = [(loaded.centers, net.centers), (loaded.spans, net.spans),
+                 (loaded.weights, net.weights)] + [
+            (getattr(loaded.norm, k), getattr(net.norm, k))
+            for k in ("x_min", "x_max", "y_min", "y_max")
+        ]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "model.json"
