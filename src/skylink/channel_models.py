@@ -85,6 +85,8 @@ class Environment:
     def __post_init__(self):
         if not isinstance(self.name, str):
             raise ConfigurationError(f"environment name {self.name!r} is not a string")
+        if "\n" in self.name or "\r" in self.name:  # curve files note the name
+            raise ConfigurationError(f"environment name {self.name!r} must be one line")
         prefix = f"environment {self.name!r}: "
         require(ConfigurationError, {
             "alpha": "in (0, 1]", "beta": "finite and > 0", "gamma": "finite and > 0",

@@ -32,7 +32,10 @@ from .errors import (
     FitError,
     SchemaError,
     SkylinkError,
+    as_number,
+    as_numbers,
     parse_json,
+    require,
 )
 
 logger = logging.getLogger(__name__)
@@ -59,15 +62,26 @@ def _setup_logging() -> None:
 
 
 class RunConfig:
-    """Parsed run config with path/line-aware error reporting."""
+    """Parsed run config with path/line-aware error reporting.
 
-    def __init__(self, path: str):
+    A seed is written to budget.seed, rbf.seed and train.split_seed before
+    any reader or the digest sees the data; a block that is no object is
+    left to its reader.
+    """
+
+    def __init__(self, path: str, seed: int | None = None):
         self.path = path
         with open(path, encoding="utf-8") as fh:
             self.text = fh.read()
         self.data = parse_json(self.text, path)
         if not isinstance(self.data, dict):
             raise SchemaError(f"{path}: run config must be a JSON object")
+        if seed is not None:
+            require(ConfigurationError, {"--seed": "int and >= 0"}, {"--seed": seed})
+            for block in ("budget", "rbf", "train"):
+                node = self.data.setdefault(block, {})
+                if isinstance(node, dict):
+                    node["split_seed" if block == "train" else "seed"] = seed
 
     def where(self, dotted: str) -> str:
         """path:line of the key ``dotted``, or of its deepest parent present.
@@ -149,62 +163,36 @@ def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
     return cm.load_environments(env_file)
 
 
-def _selected_environment(cfg: RunConfig) -> cm.Environment:
+def _scenario_dataset(cfg: RunConfig, kind: str | None = None) -> datagen.Dataset:
+    """The config's scenario, as its own kind or as ``kind`` from the same block."""
     envs = _load_environments(cfg)
     name = cfg.get("environment")
     if not isinstance(name, str) or name not in envs:
-        raise cfg.fail(
-            "environment",
-            f"{name!r} not defined (file has {sorted(envs)})",
-        )
-    return envs[name]
-
-
-def _budget(cfg: RunConfig, seed_override: int | None) -> datagen.LinkBudget:
+        raise cfg.fail("environment", f"{name!r} not defined (file has {sorted(envs)})")
     with cfg.reading("budget"):
-        budget = datagen.budget_from_dict(cfg.get("budget", {"tx_power_dbm": 30.0}))
-    if seed_override is not None:
-        budget = dataclasses.replace(budget, seed=seed_override)
-    return budget
-
-
-def _rbf_config(cfg: RunConfig, seed_override: int | None) -> rbf_net.RbfConfig:
-    with cfg.reading("rbf"):
-        block = dict(cfg.get("rbf", {}))
-        if seed_override is not None:
-            block["seed"] = seed_override
-        return rbf_net.RbfConfig(**block)
-
-
-def _scenario_dataset(
-    cfg: RunConfig, env: cm.Environment, budget: datagen.LinkBudget,
-    kind: str | None = None,
-) -> datagen.Dataset:
-    """The config's scenario, as its own kind or as ``kind`` from the same block."""
+        budget = datagen.budget_from_dict(cfg.get("budget", {}))
     with cfg.reading("scenario"):
         block = cfg.get("scenario", {})
         generate, args = datagen.scenario_layout(kind or block.get("kind"), block)
     return generate(
-        env, budget=budget, pl_model=cfg.get("pl_model", "a2g_mean"),
+        envs[name], budget=budget, pl_model=cfg.get("pl_model", "a2g_mean"),
         plos_model=cfg.get("plos_model", "sigmoid"), **args,
     )
 
 
-def _out_dir(args, cfg: RunConfig) -> str:
+def _config_and_out(args) -> tuple[RunConfig, str]:
+    """The run config of --config and --seed, and the output directory, made."""
+    cfg = RunConfig(args.config, args.seed)
     out = cfg.get("out_dir", "out") if args.out is None else args.out
-    if out is None:
-        out = "out"
+    out = "out" if out is None else out
     with cfg.reading("out_dir"):
         os.makedirs(out, exist_ok=True)
-    return out
+    return cfg, out
 
 
 def cmd_generate(args) -> int:
-    cfg = RunConfig(args.config)
-    out = _out_dir(args, cfg)
-    env = _selected_environment(cfg)
-    budget = _budget(cfg, args.seed)
-    dataset = _scenario_dataset(cfg, env, budget)
+    cfg, out = _config_and_out(args)
+    dataset = _scenario_dataset(cfg)
     csv_path = os.path.join(out, "dataset.csv")
     sidecar = datagen.write_dataset(dataset, csv_path)
     print(f"wrote {len(dataset.samples)} rows to {csv_path}")
@@ -213,15 +201,15 @@ def cmd_generate(args) -> int:
 
 
 def _train_model(
-    cfg: RunConfig, dataset: datagen.Dataset, seed_override: int | None
+    cfg: RunConfig, dataset: datagen.Dataset
 ) -> tuple[rbf_net.RbfNetwork, rbf_net.RbfConfig, rbf_net.TrainReport]:
-    rbf_cfg = _rbf_config(cfg, seed_override)
-    with cfg.reading("train"):
-        fraction = float(cfg.get("train.train_fraction", 0.8))
-        split_seed = int(cfg.get("train.split_seed", 13))
-    if seed_override is not None:
-        split_seed = seed_override
-    train_ds, test_ds = datagen.split(dataset, fraction, split_seed)
+    with cfg.reading("rbf"):
+        rbf_cfg = rbf_net.RbfConfig(**cfg.get("rbf", {}))
+    with cfg.reading("train"):  # split's rules check the fraction and the seed
+        train_ds, test_ds = datagen.split(
+            dataset, as_number(cfg.get("train.train_fraction", 0.8)),
+            cfg.get("train.split_seed", 13),
+        )
     x_train, y_train = datagen.features_targets(train_ds)
     x_test, y_test = datagen.features_targets(test_ds)
     net = rbf_net.init_network(rbf_cfg, x_train)
@@ -232,10 +220,9 @@ def _train_model(
 
 
 def cmd_train(args) -> int:
-    cfg = RunConfig(args.config)
-    out = _out_dir(args, cfg)
+    cfg, out = _config_and_out(args)
     dataset = datagen.read_dataset(args.dataset)
-    net, rbf_cfg, report = _train_model(cfg, dataset, args.seed)
+    net, rbf_cfg, report = _train_model(cfg, dataset)
     model_path = os.path.join(out, "model.json")
     rbf_net.save_model(model_path, net, rbf_cfg)
     rmse = [
@@ -327,15 +314,17 @@ def _write_curve(cfg: RunConfig, out: str, stem: str, notes, header, rows) -> st
 
 def _curve_rician(cfg: RunConfig, args):
     with cfg.reading("curves"):
-        k_list = [float(k) for k in cfg.get("curves.rician_k", [0.0, 50.0, 100.0])]
+        k_list = as_numbers("rician_k", cfg.get("curves.rician_k", [0.0, 50.0, 100.0]))
         in_db = cfg.get("curves.rician_k_db", False)
-        r_max = float(cfg.get("curves.rician_r_max", 3.0))
-        points = int(cfg.get("curves.rician_points", 301))
+        rician_r_max = as_number(cfg.get("curves.rician_r_max", 3.0))
+        rician_points = cfg.get("curves.rician_points", 301)
+        rules = {"rician_r_max": "finite and > 0", "rician_points": "int"}
+        require(ConfigurationError, rules, locals())
     if not isinstance(in_db, bool):
         raise cfg.fail("curves", f"rician_k_db must be true or false, got {in_db!r}")
-    if r_max <= 0.0 or points < 2:
-        raise cfg.fail("curves", "rician grid needs r_max > 0 and points >= 2")
-    grid = np.linspace(0.0, r_max, points)
+    if rician_points < 2:
+        raise cfg.fail("curves", f"rician_points must be >= 2, got {rician_points}")
+    grid = np.linspace(0.0, rician_r_max, rician_points)
     unit = "dB" if in_db else ""
     columns = []
     labels = []
@@ -357,8 +346,10 @@ def _plos_setting(cfg: RunConfig):
     """Environments, UAV and receiver heights of the P_LoS curves, and a note."""
     envs = _load_environments(cfg)
     with cfg.reading("curves"):
-        h = float(cfg.get("curves.uav_height_m", 100.0))
-        rx = float(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
+        h = as_number(cfg.get("curves.uav_height_m", 100.0))
+        rx = as_number(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
+        rules = {"uav_height_m": "finite and > 0", "rx_height_m": "finite"}
+        require(ConfigurationError, rules, {"uav_height_m": h, "rx_height_m": rx})
     return envs, h, rx, f"uav_height_m={_fmt(h)} rx_height_m={_fmt(rx)}"
 
 
@@ -384,8 +375,9 @@ def _curve_plos_angle(cfg: RunConfig, args):
 def _curve_plos_fit(cfg: RunConfig, args):
     envs, h, rx, heights = _plos_setting(cfg)
     with cfg.reading("curves"):
-        theta_min = int(float(cfg.get("curves.theta_min_deg", 10.0)))
-    thetas = [float(t) for t in range(theta_min, 91)]
+        theta_min_deg = as_number(cfg.get("curves.theta_min_deg", 10.0))
+        require(ConfigurationError, {"theta_min_deg": "in [0, 90]"}, locals())
+    thetas = [float(t) for t in range(int(theta_min_deg), 91)]  # whole degrees
     for env in envs.values():
         produced = [
             cm.plos_product(env, h, rx, cm.ground_distance_for_angle(h, t))
@@ -415,10 +407,8 @@ _RSS_KINDS = {  # curve -> (scenario kind, feature column along the x axis)
 
 def _curve_rss(cfg: RunConfig, args):
     kind, axis = _RSS_KINDS[args.which]
-    env = _selected_environment(cfg)
-    budget = _budget(cfg, args.seed)
-    dataset = _scenario_dataset(cfg, env, budget, kind)
-    net, _, report = _train_model(cfg, dataset, args.seed)
+    dataset = _scenario_dataset(cfg, kind)
+    net, _, report = _train_model(cfg, dataset)
     x, y = datagen.features_targets(dataset)
     predicted = net.predict(x).reshape(-1)
     header = [FEATURE_HEADER[axis], "rss_empirical_dbm", "rss_predicted_dbm"]
@@ -427,7 +417,7 @@ def _curve_rss(cfg: RunConfig, args):
         for i in range(x.shape[0])
     ]
     notes = [
-        f"environment={env.name} scenario={kind}",
+        f"environment={dataset.metadata['environment']['name']} scenario={kind}",
         f"val_rmse_db={_fmt(report.final_val_rmse_db)}",
     ]
     yield args.which, notes, header, rows
@@ -444,20 +434,17 @@ CURVES = {
 
 
 def cmd_curves(args) -> int:
-    cfg = RunConfig(args.config)
-    out = _out_dir(args, cfg)
+    cfg, out = _config_and_out(args)
     for curve in CURVES[args.which](cfg, args):
         print(f"wrote {_write_curve(cfg, out, *curve)}")
     return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON run config path")
-    common.add_argument("--out", help="output directory (overrides config)")
-    common.add_argument(
-        "--seed", type=int, help="override every seed in the config"
-    )
+    config = argparse.ArgumentParser(add_help=False)  # of the commands reading one
+    config.add_argument("--config", required=True, help="JSON run config path")
+    config.add_argument("--out", help="output directory (overrides config)")
+    config.add_argument("--seed", type=int, help="override every seed in the config")
 
     parser = argparse.ArgumentParser(
         prog="skylink",
@@ -468,37 +455,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="generate a dataset")
-    p.set_defaults(func=cmd_generate, needs_config=True)
+    p = sub.add_parser("generate", parents=[config], help="generate a dataset")
+    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("train", parents=[common], help="train an RBF model")
+    p = sub.add_parser("train", parents=[config], help="train an RBF model")
     p.add_argument("dataset", help="dataset CSV path")
-    p.set_defaults(func=cmd_train, needs_config=True)
+    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", parents=[common], help="predict RSS rows")
+    p = sub.add_parser("predict", help="predict RSS rows")
     p.add_argument("model", help="model JSON path")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--row", help="comma-separated D,H,F,P feature row")
     group.add_argument("--input", help="CSV of feature rows or a dataset CSV")
-    p.set_defaults(func=cmd_predict, needs_config=False)
+    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("eval", parents=[common], help="evaluate a model")
+    p = sub.add_parser("eval", help="evaluate a model")
     p.add_argument("model", help="model JSON path")
     p.add_argument("dataset", help="dataset CSV path")
-    p.set_defaults(func=cmd_eval, needs_config=False)
+    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("curves", parents=[common], help="emit figure curves")
+    p = sub.add_parser("curves", parents=[config], help="emit figure curves")
     p.add_argument("which", choices=list(CURVES))
-    p.set_defaults(func=cmd_curves, needs_config=True)
+    p.set_defaults(func=cmd_curves)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging()
-    if args.needs_config and args.config is None:
-        print("error: --config is required for this command", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (

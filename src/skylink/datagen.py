@@ -18,18 +18,18 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import channel_models as cm
 from .errors import ConfigurationError, DomainError, SchemaError
-from .errors import as_number, parse_json, require
+from .errors import as_number, as_numbers, parse_json, require
 from .fading import RicianParams, _rician_power
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
 
-FADING_KINDS = ("off", "rician", "gaussian_shadow")
+FADING_KEYS = {"off": (), "rician": ("s", "delta"), "gaussian_shadow": ("sigma_db",)}
 
 DEFAULT_ALTITUDES_M = tuple(float(h) for h in range(20, 201, 20))
 DEFAULT_GROUND_DISTANCE_M = 500.0
@@ -48,9 +48,9 @@ class FadingSpec:
     sigma_db: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in FADING_KINDS:
+        if self.kind not in FADING_KEYS:
             raise ConfigurationError(
-                f"fading kind must be one of {FADING_KINDS}, got {self.kind!r}"
+                f"fading kind must be one of {tuple(FADING_KEYS)}, got {self.kind!r}"
             )
         if self.kind == "rician" and self.rician is None:
             raise ConfigurationError("rician fading requires RicianParams")
@@ -64,7 +64,7 @@ class LinkBudget:
     RSS = tx_power + tx_gain + rx_gain - path_loss - fading_term, all dB.
     """
 
-    tx_power_dbm: float
+    tx_power_dbm: float = 30.0
     tx_gain_dbi: float = 0.0
     rx_gain_dbi: float = 0.0
     fading: FadingSpec = field(default_factory=FadingSpec)
@@ -138,25 +138,25 @@ def _budget_to_dict(budget: LinkBudget) -> dict:
 
 
 def budget_from_dict(data: dict) -> LinkBudget:
-    """Build a LinkBudget from its JSON form (config block or metadata)."""
-    fad = data.get("fading", {"kind": "off"})
+    """Build a LinkBudget from its JSON form (config block or metadata).
+
+    A key left out takes its default; an unknown key is a SchemaError.
+    """
+    fad = data.get("fading", {})
     kind = fad.get("kind", "off")
+    params = {k: as_number(fad[k]) for k in FADING_KEYS.get(kind, ())}
     if kind == "rician":
-        spec = FadingSpec(
-            kind="rician",
-            rician=RicianParams(s=as_number(fad["s"]), delta=as_number(fad["delta"])),
-        )
-    elif kind == "gaussian_shadow":
-        spec = FadingSpec(kind="gaussian_shadow", sigma_db=as_number(fad["sigma_db"]))
+        spec = FadingSpec(kind, rician=RicianParams(**params))
     else:
-        spec = FadingSpec(kind=kind)
-    return LinkBudget(
-        tx_power_dbm=as_number(data["tx_power_dbm"]),
-        tx_gain_dbi=as_number(data.get("tx_gain_dbi", 0.0)),
-        rx_gain_dbi=as_number(data.get("rx_gain_dbi", 0.0)),
-        fading=spec,
-        seed=data.get("seed", 0),  # as given: the rule rejects 2.5 and "7"
-    )
+        spec = FadingSpec(kind, **params)  # rejects an unknown kind
+    known = {f.name for f in fields(LinkBudget)}, {"kind", *FADING_KEYS[kind]}
+    for prefix, block, keys in zip(("", "fading: "), (data, fad), known):
+        if block.keys() - keys:
+            raise SchemaError(f"{prefix}unknown keys {sorted(block.keys() - keys)}")
+    return LinkBudget(**{  # the seed as given: its rule rejects 2.5 and "7"
+        k: spec if k == "fading" else v if k == "seed" else as_number(v)
+        for k, v in data.items()
+    })
 
 
 def _generate(
@@ -176,8 +176,7 @@ def _generate(
     sidecar's bytes: scenario, environment, layout, then the shared keys.
     """
     require(ConfigurationError, {"rx_height_m": "finite and >= 0"}, locals())
-    if budget is None:
-        budget = LinkBudget(tx_power_dbm=30.0)
+    budget = LinkBudget() if budget is None else budget
     metadata = {
         "scenario": scenario,
         "environment": cm.environment_to_dict(env),
@@ -257,6 +256,22 @@ def gen_altitude_waypoints(
     )
 
 
+# Rules of the numbers of a scenario block, by key; list entries must be finite.
+_LAYOUT_RULES = {
+    "f_mhz": "finite and > 0", "rx_height_m": "finite and >= 0",
+    "h_m": "finite and > 0", "r_ground_m": "finite and >= 0",
+    "start": "finite", "stop": "finite", "count": "int and > 0",
+}
+
+
+def _number(block: dict, key: str, default=None):
+    """block[key] (default if left out) checked by its rule; a count as given."""
+    value = block.get(key, default)
+    values = {key: value if key == "count" else as_number(value)}
+    require(ConfigurationError, {k: _LAYOUT_RULES[k] for k in values}, values)
+    return values[key]
+
+
 def scenario_layout(kind: str, block: dict) -> tuple:
     """The generator of a scenario kind and its arguments, read from a block.
 
@@ -266,27 +281,28 @@ def scenario_layout(kind: str, block: dict) -> tuple:
     and r_ground_m. A key that is left out takes its default.
     """
     args = {
-        "f_mhz": float(block.get("f_mhz", DEFAULT_FREQUENCY_MHZ)),
-        "rx_height_m": float(block.get("rx_height_m", DEFAULT_RX_HEIGHT_M)),
+        "f_mhz": _number(block, "f_mhz", DEFAULT_FREQUENCY_MHZ),
+        "rx_height_m": _number(block, "rx_height_m", DEFAULT_RX_HEIGHT_M),
     }
     if kind == "distance_sweep":
         spec = block.get("distances_m", DEFAULT_DISTANCES_M)
         if isinstance(spec, dict) and spec.keys() == {"start", "stop", "count"}:
-            spec = np.linspace(
-                float(spec["start"]), float(spec["stop"]), int(spec["count"])
-            ).tolist()
-        elif not isinstance(spec, list):
+            grid = [_number(spec, key) for key in ("start", "stop", "count")]
+            spec = np.linspace(*grid).tolist()
+        elif isinstance(spec, list):
+            spec = as_numbers("distances_m", spec)
+        else:
             raise ConfigurationError(
                 "distances_m must be a list or an object with start, stop, count"
             )
-        args["h_fixed"] = float(block.get("h_m", DEFAULT_SWEEP_HEIGHT_M))
-        args["distances"] = [float(v) for v in spec]
+        args["h_fixed"] = _number(block, "h_m", DEFAULT_SWEEP_HEIGHT_M)
+        args["distances"] = spec
         return gen_distance_sweep, args
     if kind == "altitude_waypoints":
         altitudes = block.get("altitudes_m")  # null: the default waypoints
         if altitudes is not None:
-            args["altitudes"] = [float(v) for v in altitudes]
-        args["r_ground"] = float(block.get("r_ground_m", DEFAULT_GROUND_DISTANCE_M))
+            args["altitudes"] = as_numbers("altitudes_m", altitudes)
+        args["r_ground"] = _number(block, "r_ground_m", DEFAULT_GROUND_DISTANCE_M)
         return gen_altitude_waypoints, args
     raise ConfigurationError(f"unknown scenario kind {kind!r}")
 
@@ -371,55 +387,64 @@ def write_dataset(dataset: Dataset, csv_path: str) -> str:
     return sidecar
 
 
+def _csv_rows(path: str, parse, header: list[str] | None = None):
+    """Stream a UTF-8 CSV: (comments, header) first, then parse(row) per data row.
+
+    Leading "#" lines are comments; blank lines are skipped. No header, one
+    other than ``header`` (if given), a ragged row or a ValueError of parse
+    is a SchemaError; all but the first name their path:line.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        comments, line = [], fh.readline()
+        while line.startswith("#"):
+            comments.append(line[1:].strip())
+            line = fh.readline()
+        reader = csv.reader(itertools.chain([line], fh))
+        found = next((row for row in reader if row), None)
+        if found is None:
+            raise SchemaError(f"{path}: no header row")
+        if header not in (None, found):
+            raise SchemaError(
+                f"{path}:{reader.line_num + len(comments)}: header {found!r} "
+                f"does not match {','.join(header)!r}"
+            )
+        yield comments, found
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(found):
+                    raise ValueError(f"expected {len(found)} fields, got {len(row)}")
+                value = parse(row)
+            except ValueError as exc:
+                lineno = reader.line_num + len(comments)
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
+            yield value
+
+
 def read_dataset(csv_path: str) -> Dataset:
     """Read a dataset CSV (and sidecar metadata if present); schema-checked."""
-    samples = []
     seen = set()
-    with open(csv_path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{csv_path}:1: empty file") from None
-        if header != CSV_HEADER:
-            raise SchemaError(
-                f"{csv_path}:1: header {header!r} does not match "
-                f"{','.join(CSV_HEADER)!r}"
-            )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(CSV_HEADER):
-                raise SchemaError(
-                    f"{csv_path}:{lineno}: expected {len(CSV_HEADER)} fields, "
-                    f"got {len(row)}"
-                )
-            try:
-                sample = Sample(
-                    index=int(row[0]), scenario=row[1], d_m=float(row[2]),
-                    h_m=float(row[3]), f_mhz=float(row[4]), pl_db=float(row[5]),
-                    plos=float(row[6]), rss_dbm=float(row[7]),
-                )
-            except ValueError as exc:
-                raise SchemaError(f"{csv_path}:{lineno}: {exc}") from None
-            if not (0.0 <= sample.plos <= 1.0):
-                raise SchemaError(
-                    f"{csv_path}:{lineno}: PLOS {sample.plos} outside [0, 1]"
-                )
-            if not math.isfinite(
-                sample.d_m + sample.h_m + sample.f_mhz + sample.pl_db + sample.rss_dbm
-            ):  # one nan/inf field, or finite fields whose sum overflowed
-                for col in (2, 3, 4, 5, 7):
-                    if not math.isfinite(float(row[col])):
-                        role = "target" if col == 7 else "feature"
-                        raise SchemaError(
-                            f"{csv_path}:{lineno}: non-finite {role} "
-                            f"{CSV_HEADER[col]}={row[col]}"
-                        )
-            if sample.index in seen:
-                raise SchemaError(
-                    f"{csv_path}:{lineno}: duplicate index {sample.index}"
-                )
-            seen.add(sample.index)
-            samples.append(sample)
+
+    def sample(row: list[str]) -> Sample:
+        s = Sample(
+            index=int(row[0]), scenario=row[1], d_m=float(row[2]),
+            h_m=float(row[3]), f_mhz=float(row[4]), pl_db=float(row[5]),
+            plos=float(row[6]), rss_dbm=float(row[7]),
+        )
+        if not (0.0 <= s.plos <= 1.0):
+            raise ValueError(f"PLOS {s.plos} outside [0, 1]")
+        if not math.isfinite(s.d_m + s.h_m + s.f_mhz + s.pl_db + s.rss_dbm):
+            for col in (2, 3, 4, 5, 7):  # one nan/inf field, or an overflowing sum
+                if not math.isfinite(float(row[col])):
+                    role = "target" if col == 7 else "feature"
+                    raise ValueError(f"non-finite {role} {CSV_HEADER[col]}={row[col]}")
+        if s.index in seen:
+            raise ValueError(f"duplicate index {s.index}")
+        seen.add(s.index)
+        return s
+
+    rows = _csv_rows(csv_path, sample, CSV_HEADER)
+    next(rows)  # the comments and the header
+    samples = list(rows)
     if not samples:
         raise SchemaError(f"{csv_path}: no data rows")
     metadata = {}
@@ -451,24 +476,6 @@ def read_curve_csv(path: str) -> tuple[list[str], list[str], list[list[float]]]:
     Blank lines are skipped; a row with more or fewer fields than the
     header is a SchemaError.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.readlines()
-    heads = itertools.takewhile(lambda line: line.startswith("#"), lines)
-    comments = [line[1:].strip() for line in heads]
-    reader = csv.reader(lines[len(comments):])
-    header = next(reader, None)
-    if header is None:
-        raise SchemaError(f"{path}: no header row")
-    rows = []
-    for lineno, row in enumerate(reader, start=len(comments) + 2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise SchemaError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError as exc:
-            raise SchemaError(f"{path}:{lineno}: {exc}") from None
-    return comments, header, rows
+    rows = _csv_rows(path, lambda row: [float(v) for v in row])
+    comments, header = next(rows)
+    return comments, header, list(rows)

@@ -79,6 +79,13 @@ def as_number(value):
     return value if isinstance(value, bool) else float(value)
 
 
+def as_numbers(name: str, values) -> list:
+    """as_number of each entry; a ConfigurationError names entry i as name[i]."""
+    named = {f"{name}[{i}]": as_number(v) for i, v in enumerate(values)}
+    require(ConfigurationError, dict.fromkeys(named, "finite"), named)
+    return list(named.values())
+
+
 def require(error: type, table: dict, values, prefix: str = "") -> None:
     """Check values[name], for each name in ``table``, against its rule.
 

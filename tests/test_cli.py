@@ -88,6 +88,21 @@ class TestGenerate:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    def test_unknown_fading_key_rejected(self, tmp_path, env_file):
+        cfg_path = tmp_path / "run.json"
+        cfg = base_run_config(env_file)
+        cfg["budget"]["fading"] = {
+            "kind": "rician", "s": 1.0, "delta": 0.3, "sigma_db": 2.0,
+        }
+        write_json(cfg_path, cfg)
+        line = cfg_path.read_text(encoding="utf-8").splitlines().index('  "budget": {')
+        proc = run_cli("generate", "--config", str(cfg_path), cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (2, (
+            f"error: {cfg_path}:{line + 1}: budget: malformed value: "
+            "fading: unknown keys ['sigma_db']\n"
+        ))
+        assert not (tmp_path / "out" / "dataset.csv").exists()
+
     def test_unknown_environment_fails_validation(self, tmp_path, env_file):
         cfg_path = tmp_path / "run.json"
         cfg = base_run_config(env_file)
@@ -125,7 +140,11 @@ class TestGenerate:
             "sigmoid", {"a": True, "b": 0.16},
             "environment 'urban': sigmoid a must be finite and > 0, got True",
         ),
-    ], ids=["alpha", "name", "alpha_bool", "c_bool", "sigmoid_bool"])
+        ("name", "sub\nurban", "environment name 'sub\\nurban' must be one line"),
+        ("name", "sub\rurban", "environment name 'sub\\rurban' must be one line"),
+    ], ids=[
+        "alpha", "name", "alpha_bool", "c_bool", "sigmoid_bool", "name_lf", "name_cr",
+    ])
     def test_malformed_environment_entry(self, tmp_path, env_file, key, value, message):
         envs = json.loads(env_file.read_text(encoding="utf-8"))
         envs[1][key] = value
@@ -158,6 +177,20 @@ WRONG_TYPED = [
     ("generate", "scenario.distances_m", "x", "scenario"),
     ("curves rss_altitude", "scenario.altitudes_m", ["x"], "scenario"),
     ("curves rss_distance", "scenario.f_mhz", "x", "scenario"),
+    ("generate", "scenario.f_mhz", True, "scenario"),
+    ("generate", "scenario.h_m", True, "scenario"),
+    ("generate", "scenario.rx_height_m", True, "scenario"),
+    ("generate", "scenario.distances_m", [True, 500.0], "scenario"),
+    ("curves rss_altitude", "scenario.altitudes_m", [True, 40.0], "scenario"),
+    ("generate", "scenario.distances_m.count", 20.5, "scenario"),
+    ("generate", "scenario.distances_m.start", math.inf, "scenario"),
+    ("curves rss_distance", "train.split_seed", 2.5, "train"),
+    ("curves rss_distance", "train.split_seed", True, "train"),
+    ("curves rician", "curves.rician_points", 20.5, "curves"),
+    ("curves rician", "curves.rician_k", [True], "curves"),
+    ("curves plos_fit", "curves.theta_min_deg", True, "curves"),
+    ("curves plos_angle", "curves.uav_height_m", True, "curves"),
+    ("generate", "budget.tx_gain_db", 10, "budget"),
 ]
 
 
@@ -336,6 +369,91 @@ class TestRunConfigWhere:
         assert cfg.where("seed") == f"{cfg_path}:2"
         assert cfg.where("a.b.seed") == f"{cfg_path}:1"
         assert cfg.where("a.note.seed") == f"{cfg_path}:1"
+
+
+class TestSeed:
+    """--seed is written into the run config, so its digest covers the seed."""
+
+    @pytest.fixture
+    def cfg(self, tmp_path, env_file, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = base_run_config(env_file)
+        cfg["rbf"]["epochs"] = 5
+        return cfg
+
+    def test_flag_equals_seeds_written_in_the_config(self, cfg, tmp_path):
+        write_json(tmp_path / "a.json", cfg)
+        cfg["budget"]["seed"] = cfg["rbf"]["seed"] = cfg["train"]["split_seed"] = 5
+        write_json(tmp_path / "b.json", cfg)
+        for config, out, *seed in (
+            ("a.json", "flag", "--seed", "5"), ("b.json", "copy"), ("a.json", "plain"),
+        ):
+            code, _, stderr = run_main(
+                "curves", "rss_distance", "--config", config, "--out", out, *seed
+            )
+            assert code == 0, stderr
+        flag, copied, plain = (
+            (tmp_path / out / "rss_distance.csv").read_text(encoding="utf-8")
+            for out in ("flag", "copy", "plain")
+        )
+        assert flag == copied
+        assert flag.splitlines()[0] != plain.splitlines()[0]
+
+    def test_missing_blocks_are_created(self, cfg, tmp_path):
+        for block in ("budget", "rbf", "train"):
+            del cfg[block]
+        write_json(tmp_path / "run.json", cfg)
+        data = RunConfig("run.json", seed=4).data
+        assert [data["budget"], data["rbf"], data["train"]] == [
+            {"seed": 4}, {"seed": 4}, {"split_seed": 4},
+        ]
+        code, _, stderr = run_main("generate", "--config", "run.json", "--seed", "4")
+        assert code == 0, stderr
+        budget = read_dataset("out/dataset.csv").metadata["budget"]
+        assert (budget["tx_power_dbm"], budget["seed"]) == (30.0, 4)
+
+    def test_block_that_is_no_object_is_left_to_its_reader(self, cfg, tmp_path):
+        cfg["budget"] = 5
+        write_json(tmp_path / "run.json", cfg)
+        assert RunConfig("run.json", seed=3).data["budget"] == 5
+        line = Path("run.json").read_text(encoding="utf-8").splitlines().index(
+            '  "budget": 5,'
+        )
+        code, _, stderr = run_main("generate", "--config", "run.json", "--seed", "3")
+        assert code == 2
+        assert stderr.startswith(f"error: run.json:{line + 1}: budget: malformed value")
+
+    def test_negative_seed_names_the_flag(self, cfg, tmp_path):
+        write_json(tmp_path / "run.json", cfg)
+        code, _, stderr = run_main("generate", "--config", "run.json", "--seed", "-1")
+        assert (code, stderr) == (2, "error: --seed must be int and >= 0, got -1\n")
+        assert not (tmp_path / "out" / "dataset.csv").exists()
+
+
+class TestConfigFlags:
+    """Only the commands that read a run config take --config, --out, --seed."""
+
+    @pytest.mark.parametrize("flag", [["--config", "run.json"], ["--out", "o"], [
+        "--seed", "3",
+    ]], ids=["config", "out", "seed"])
+    @pytest.mark.parametrize("command", [
+        ["predict", "model.json", "--row", "1,2,3,4"], ["eval", "model.json", "d.csv"],
+    ], ids=["predict", "eval"])
+    def test_model_commands_reject_them(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([*command, *flag])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["generate"], ["train", "d.csv"], [
+        "curves", "rician",
+    ]], ids=["generate", "train", "curves"])
+    def test_config_is_required(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(command)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("error: the following arguments are required: --config\n")
 
 
 class TestTrain:
@@ -804,6 +922,19 @@ class TestCurves:
         assert (tmp / "c1" / "rician.csv").read_bytes() == (
             tmp / "c2" / "rician.csv"
         ).read_bytes()
+
+    def test_line_break_in_an_environment_name_writes_no_file(self, tmp_path, env_file):
+        envs = json.loads(env_file.read_text(encoding="utf-8"))
+        envs[0]["name"] = "sub\nurban"
+        write_json(env_file, envs)
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, base_run_config(env_file))
+        proc = run_cli("curves", "plos_angle", "--config", str(cfg_path), cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: environment name 'sub\\nurban' must be one line\n"
+        )
+        assert not list(tmp_path.glob("out/*"))
 
     def test_unknown_curve_rejected(self, workspace):
         tmp, cfg = workspace

@@ -108,6 +108,32 @@ class TestLinkBudget:
         for budget in budgets:
             assert budget_from_dict(_budget_to_dict(budget)) == budget
 
+    def test_keys_left_out_take_the_field_defaults(self):
+        assert LinkBudget().tx_power_dbm == 30.0
+        assert budget_from_dict({}) == LinkBudget()
+        assert budget_from_dict({"seed": 5}) == LinkBudget(seed=5)
+        assert budget_from_dict({"tx_power_dbm": "27"}) == LinkBudget(27.0)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"tx_gain_db": 10}, "unknown keys ['tx_gain_db']"),
+        (
+            {"fading": {"kind": "off", "sigma_db": 2.0}},
+            "fading: unknown keys ['sigma_db']",
+        ),
+        (
+            {"fading": {"kind": "rician", "s": 1.0, "delta": 0.3, "sigma_db": 2.0}},
+            "fading: unknown keys ['sigma_db']",
+        ),
+        (
+            {"fading": {"kind": "gaussian_shadow", "sigma_db": 2.0, "s": 1.0}},
+            "fading: unknown keys ['s']",
+        ),
+    ], ids=["budget", "off", "rician", "gaussian_shadow"])
+    def test_unknown_keys_rejected(self, data, message):
+        with pytest.raises(SchemaError) as excinfo:
+            budget_from_dict(data)
+        assert str(excinfo.value) == message
+
 
 class TestFadingDraws:
     def test_off_draws_zero(self):
@@ -657,6 +683,26 @@ class TestDatasetIO:
         assert path.read_bytes() == want.getvalue().encode("utf-8")
         assert read_dataset(path).samples == ds.samples
 
+    def test_skips_comments_and_blank_lines(self, tmp_path, urban):
+        ds = gen_distance_sweep(urban, 100.0, [200.0, 700.0, 900.0])
+        path = tmp_path / "data.csv"
+        write_dataset(ds, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        text = "\n".join(["# note", *lines[:2], "", *lines[2:], "", ""])
+        path.write_text(text, encoding="utf-8")
+        assert read_dataset(path).samples == ds.samples
+
+    def test_ragged_row_names_its_line(self, tmp_path, urban):
+        ds = gen_distance_sweep(urban, 100.0, [200.0, 700.0])
+        path = tmp_path / "data.csv"
+        write_dataset(ds, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0]
+        path.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            read_dataset(path)
+        assert str(excinfo.value) == f"{path}:4: expected 8 fields, got 7"
+
     def test_rejects_header_only_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(CSV_HEADER) + "\n", encoding="utf-8")
@@ -743,6 +789,43 @@ class TestScenarioLayout:
             scenario_layout(kind, block)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("kind, block, message", [
+        ("distance_sweep", {"f_mhz": True}, "f_mhz must be finite and > 0, got True"),
+        (
+            "altitude_waypoints", {"rx_height_m": -1},
+            "rx_height_m must be finite and >= 0, got -1.0",
+        ),
+        ("distance_sweep", {"h_m": True}, "h_m must be finite and > 0, got True"),
+        (
+            "altitude_waypoints", {"r_ground_m": math.nan},
+            "r_ground_m must be finite and >= 0, got nan",
+        ),
+        (
+            "distance_sweep", {"distances_m": [100.0, True]},
+            "distances_m[1] must be finite, got True",
+        ),
+        (
+            "altitude_waypoints", {"altitudes_m": [True]},
+            "altitudes_m[0] must be finite, got True",
+        ),
+        (
+            "distance_sweep", {"distances_m": {"start": math.inf, "stop": 2, "count": 3}},
+            "start must be finite, got inf",
+        ),
+        (
+            "distance_sweep", {"distances_m": {"start": 1, "stop": 2, "count": 20.5}},
+            "count must be int and > 0, got 20.5",
+        ),
+        (
+            "distance_sweep", {"distances_m": {"start": 1, "stop": 2, "count": "20"}},
+            "count must be int and > 0, got '20'",
+        ),
+    ])
+    def test_numbers_checked_by_the_rule_of_their_key(self, kind, block, message):
+        with pytest.raises(ConfigurationError) as excinfo:
+            scenario_layout(kind, block)
+        assert str(excinfo.value) == message
+
 
 class TestSidecar:
     @pytest.mark.parametrize("change, message", [
@@ -760,6 +843,13 @@ class TestSidecar:
         with pytest.raises(SchemaError) as excinfo:
             generate_from_metadata(metadata)
         assert str(excinfo.value) == message
+
+    def test_budget_schema_checked(self, urban):
+        metadata = copy.deepcopy(gen_distance_sweep(urban, 100.0, [200.0]).metadata)
+        metadata["budget"]["tx_gain_db"] = 10
+        with pytest.raises(SchemaError) as excinfo:
+            generate_from_metadata(metadata)
+        assert str(excinfo.value) == "unknown keys ['tx_gain_db']"
 
     @pytest.mark.parametrize("kind", ["distance_sweep", "altitude_waypoints"])
     def test_round_trip_is_byte_identical(self, tmp_path, urban, kind):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 import types
@@ -96,3 +97,31 @@ def test_readme_lists_every_curve_and_curves_key():
         and node.value.startswith("curves.")
     }
     assert set(re.findall(r"`(\w+)`", row.split("|")[2])) == keys
+
+
+def command_options() -> dict[str, set[str]]:
+    """Each CLI command -> its option strings, without -h/--help."""
+    sub = next(
+        a for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    return {
+        name: {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+def test_readme_lists_the_config_flags_of_each_command():
+    """README's config-flag list is the option set of generate, train and
+    curves; predict and eval take none of those flags."""
+    text = README.read_text(encoding="utf-8")
+    _, _, rest = text.partition("Flags of the commands that read a run config")
+    sentence, _, bullets = rest.partition(":\n\n")
+    readers, others = (re.findall(r"`(\w+)`", part) for part in sentence.split(";"))
+    flags = set(re.findall(r"^- `(--[\w-]+)", bullets.split("\n\n")[0], re.M))
+    options = command_options()
+    assert flags and set(options) == {*readers, *others}
+    for command in readers:
+        assert options[command] == flags, command
+    for command in others:
+        assert not options[command] & flags, command
