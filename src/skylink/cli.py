@@ -254,20 +254,15 @@ def _predict_features(args) -> np.ndarray:
         except ValueError as exc:
             raise DomainError(f"--row must be comma-separated numbers: {exc}")
         return np.array([values], dtype=float)
-    with open(args.input, encoding="utf-8", newline="") as fh:
-        first = fh.readline().strip()
-    if first == ",".join(FEATURE_HEADER):
-        _, _, rows = datagen.read_curve_csv(args.input)
-        if not rows:
-            raise SchemaError(f"{args.input}: no data rows")
-        return np.array(rows, dtype=float)
-    if first == ",".join(datagen.CSV_HEADER):
-        x, _ = datagen.features_targets(datagen.read_dataset(args.input))
-        return x
-    raise SchemaError(
-        f"{args.input}:1: header must be either the dataset schema or "
-        f"{','.join(FEATURE_HEADER)!r}"
-    )
+    headers = FEATURE_HEADER, datagen.CSV_HEADER
+    rows = datagen._csv_rows(args.input, lambda row: [float(v) for v in row], *headers)
+    with contextlib.closing(rows):
+        if next(rows)[1] == datagen.CSV_HEADER:  # (comments, header) come first
+            return datagen.features_targets(datagen.read_dataset(args.input))[0]
+        features = list(rows)
+    if not features:
+        raise SchemaError(f"{args.input}: no data rows")
+    return np.array(features, dtype=float)
 
 
 def cmd_predict(args) -> int:
@@ -320,18 +315,20 @@ def _curve_rician(cfg: RunConfig, args):
         rician_points = cfg.get("curves.rician_points", 301)
         rules = {"rician_r_max": "finite and > 0", "rician_points": "int"}
         require(ConfigurationError, rules, locals())
-    if not isinstance(in_db, bool):
-        raise cfg.fail("curves", f"rician_k_db must be true or false, got {in_db!r}")
+        if not isinstance(in_db, bool):
+            raise cfg.fail(
+                "curves", f"rician_k_db must be true or false, got {in_db!r}"
+            )
+        k_lin = [10.0 ** (k / 10.0) if in_db else k for k in k_list]  # may overflow
     if rician_points < 2:
         raise cfg.fail("curves", f"rician_points must be >= 2, got {rician_points}")
     grid = np.linspace(0.0, rician_r_max, rician_points)
     unit = "dB" if in_db else ""
     columns = []
     labels = []
-    for k in k_list:
-        k_lin = 10.0 ** (k / 10.0) if in_db else k
-        params = fading.params_from_k(k_lin)
-        labels.append(f"K={k:g}{unit}" + (" (Rayleigh)" if k_lin == 0.0 else ""))
+    for k, linear in zip(k_list, k_lin):
+        params = fading.params_from_k(linear)
+        labels.append(f"K={k:g}{unit}" + (" (Rayleigh)" if linear == 0.0 else ""))
         columns.append([fading.rician_pdf(params, float(r)) for r in grid])
     header = ["r"] + [f"pdf_K{k:g}{unit}" for k in k_list]
     rows = [[float(r)] + [col[i] for col in columns] for i, r in enumerate(grid)]

@@ -102,7 +102,10 @@ def rss_from_path_loss(budget: LinkBudget, pl_db: float, draw_db: float = 0.0) -
     if not math.isfinite(pl_db):
         raise DomainError(f"pl_db must be finite, got {pl_db!r}")
     term = 0.0 if budget.fading.kind == "off" else draw_db
-    return budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - pl_db - term
+    rss = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - pl_db - term
+    if not math.isfinite(rss):
+        raise DomainError(f"rss_dbm must be finite, got {rss!r}")
+    return rss
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,14 +193,16 @@ def _generate(
     path_loss, plos = cm._channel_rows(
         env, geometries, f_mhz, pl_model, plos_model, rx_height_m
     )
-    samples = [
-        Sample(
+    samples = []
+    for i, ((h_m, d_m), pl, p) in enumerate(zip(geometries, path_loss, plos)):
+        try:
+            rss = rss_from_path_loss(budget, pl, fading_draw_db(budget, i))
+        except DomainError as exc:
+            raise DomainError(f"row {i}: {exc}") from None
+        samples.append(Sample(
             index=i, scenario=scenario, d_m=d_m, h_m=h_m, f_mhz=float(f_mhz),
-            pl_db=pl, plos=p,
-            rss_dbm=rss_from_path_loss(budget, pl, fading_draw_db(budget, i)),
-        )
-        for i, ((h_m, d_m), pl, p) in enumerate(zip(geometries, path_loss, plos))
-    ]
+            pl_db=pl, plos=p, rss_dbm=rss,
+        ))
     return Dataset(samples=samples, metadata=metadata)
 
 
@@ -387,12 +392,12 @@ def write_dataset(dataset: Dataset, csv_path: str) -> str:
     return sidecar
 
 
-def _csv_rows(path: str, parse, header: list[str] | None = None):
+def _csv_rows(path: str, parse, *headers: list[str]):
     """Stream a UTF-8 CSV: (comments, header) first, then parse(row) per data row.
 
     Leading "#" lines are comments; blank lines are skipped. No header, one
-    other than ``header`` (if given), a ragged row or a ValueError of parse
-    is a SchemaError; all but the first name their path:line.
+    that is none of ``headers`` (if any), a ragged row or a ValueError of
+    parse is a SchemaError; all but the first name their path:line.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         comments, line = [], fh.readline()
@@ -403,10 +408,10 @@ def _csv_rows(path: str, parse, header: list[str] | None = None):
         found = next((row for row in reader if row), None)
         if found is None:
             raise SchemaError(f"{path}: no header row")
-        if header not in (None, found):
+        if headers and found not in headers:
             raise SchemaError(
                 f"{path}:{reader.line_num + len(comments)}: header {found!r} "
-                f"does not match {','.join(header)!r}"
+                f"does not match {' or '.join(repr(','.join(h)) for h in headers)}"
             )
         yield comments, found
         for row in filter(None, reader):

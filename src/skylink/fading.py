@@ -141,26 +141,19 @@ def params_from_k(k: float, mean_power: float = 1.0) -> RicianParams:
 def rician_pdf_kdb(k_db: float, s: float, r: float) -> float:
     """Rician amplitude density parameterized by K in dB and s.
 
-    Substituting delta^2 = s^2 / (2 K) with K = 10^(k_db / 10) into the
-    amplitude density gives
-
-        f(r) = (2 r K / s^2) exp(-K (r^2 + s^2) / s^2) I0(2 r K / s)
-
-    and agrees with rician_pdf for the corresponding (s, delta).
+    rician_pdf with delta = s / sqrt(2 K) and K = 10^(k_db / 10); a k_db
+    whose K or delta leaves the float range is a DomainError.
     """
     require(DomainError, {
         "k_db": "finite", "s": "finite and > 0", "r": "finite and >= 0",
     }, locals())
-    if r == 0.0:
-        return 0.0
-    k = 10.0 ** (k_db / 10.0)
-    s_sq = s * s
-    log_f = (
-        math.log(2.0 * r * k / s_sq)
-        - k * (r * r + s_sq) / s_sq
-        + _log_bessel_i0(2.0 * r * k / s)
-    )
-    return math.exp(log_f)
+    try:
+        params = RicianParams(s, s / math.sqrt(2.0 * 10.0 ** (k_db / 10.0)))
+    except (ArithmeticError, DomainError):
+        raise DomainError(
+            f"k_db must keep K and s / sqrt(2 K) in float range, got {k_db!r}"
+        ) from None
+    return rician_pdf(params, r)
 
 
 def _rician_power(params: RicianParams, g1, g2):

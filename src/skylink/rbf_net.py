@@ -96,12 +96,25 @@ def _minmax_stats(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mins, maxs
 
 
-def _check_finite(data: np.ndarray, what: str, error=ConfigurationError) -> None:
-    """Raise ``error`` naming the first NaN or infinity of a row array."""
-    if not np.isfinite(data).all():
-        rows = data.reshape(len(data), -1)
+def _checked(data, shape: tuple, what: str, error: type) -> np.ndarray:
+    """data as a float array of ``shape`` (None: any size) with no NaN or inf.
+
+    A wrong rank or size raises ``error`` naming both shapes; a non-finite
+    entry raises it naming the first one by row and column (a 1-D array is
+    one column).
+    """
+    array = np.asarray(data, dtype=float)
+    if array.ndim != len(shape) or any(
+        n not in (None, size) for n, size in zip(shape, array.shape)
+    ):
+        want = ", ".join("*" if n is None else str(n) for n in shape)
+        got = ", ".join(map(str, array.shape))
+        raise error(f"{what} array must have shape ({want}), got ({got})")
+    if not np.isfinite(array).all():
+        rows = array.reshape(len(array), -1)
         r, c = np.argwhere(~np.isfinite(rows))[0]
         raise error(f"non-finite {what} at row {r}, column {c}: {rows[r, c]}")
+    return array
 
 
 @dataclass
@@ -114,8 +127,11 @@ class NormStats:
     y_max: np.ndarray
 
     def __post_init__(self):
-        for name in ("x_min", "x_max", "y_min", "y_max"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for lo, hi in (("x_min", "x_max"), ("y_min", "y_max")):
+            low = _checked(getattr(self, lo), (None,), lo, ConfigurationError)
+            high = _checked(getattr(self, hi), low.shape, hi, ConfigurationError)
+            setattr(self, lo, low)
+            setattr(self, hi, high)
         if not (np.all(self.x_min < self.x_max) and np.all(self.y_min < self.y_max)):
             raise ConfigurationError("normalization stats require min < max")
 
@@ -146,28 +162,13 @@ class RbfNetwork:
         weights: np.ndarray,
         norm: NormStats,
     ):
-        self.centers = np.array(centers, dtype=float)
-        self.spans = np.array(spans, dtype=float)
-        self.weights = np.array(weights, dtype=float)
-        self.norm = norm
+        self.centers = _checked(centers, (None, None), "centers", DomainError).copy()
         m, d = self.centers.shape
-        if self.spans.shape != (m,):
-            raise DomainError(
-                f"spans shape {self.spans.shape} inconsistent with {m} centers"
-            )
-        if self.weights.ndim != 2 or self.weights.shape[1] != m:
-            raise DomainError(
-                f"weights shape {self.weights.shape} inconsistent with {m} centers"
-            )
-        if norm.x_min.shape != (d,):
-            raise DomainError(
-                f"norm stats cover {norm.x_min.shape[0]} features, centers have {d}"
-            )
-        if norm.y_min.shape != (self.weights.shape[0],):
-            raise DomainError(
-                f"norm stats cover {norm.y_min.shape[0]} targets, "
-                f"network has {self.weights.shape[0]} outputs"
-            )
+        self.spans = _checked(spans, (m,), "spans", DomainError).copy()
+        self.weights = _checked(weights, (None, m), "weights", DomainError).copy()
+        self.norm = norm
+        _checked(norm.x_min, (d,), "norm.x_min", DomainError)
+        _checked(norm.y_min, (self.weights.shape[0],), "norm.y_min", DomainError)
         if np.any(self.spans <= 0.0):
             raise DomainError("spans must be strictly positive")
 
@@ -184,13 +185,8 @@ class RbfNetwork:
         return self.weights.shape[0]
 
     def _check_x(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.input_dim,):
-            raise DomainError(
-                f"expected feature vector of length {self.input_dim}, "
-                f"got shape {x.shape}"
-            )
-        return x
+        """One feature vector, checked as the one-row batch predict makes of it."""
+        return _checked([x], (1, self.input_dim), "feature", DomainError)[0]
 
     def _scaled_sq_distances(self, xn: np.ndarray) -> np.ndarray:
         """||x - mu_j||^2 / (2 delta_j^2), one row per normalized input row."""
@@ -211,14 +207,9 @@ class RbfNetwork:
         Accepts one feature vector or a 2-D batch; returns matching shape
         (output_dim per row).
         """
-        raw = np.asarray(raw_features, dtype=float)
-        single = raw.ndim == 1
-        rows = raw[None, :] if single else raw
-        if rows.ndim != 2 or rows.shape[1] != self.input_dim:
-            raise DomainError(
-                f"expected rows of {self.input_dim} features, got shape {raw.shape}"
-            )
-        _check_finite(rows, "feature", DomainError)
+        single = np.ndim(raw_features) == 1
+        batch = [raw_features] if single else raw_features
+        rows = _checked(batch, (None, self.input_dim), "feature", DomainError)
         out = np.empty((rows.shape[0], self.output_dim))
         for start in range(0, rows.shape[0], PREDICT_CHUNK):
             with np.errstate(over="ignore"):
@@ -282,17 +273,13 @@ def init_network(config: RbfConfig, training_inputs: np.ndarray) -> RbfNetwork:
     center or the sampled centers coincide), and weights are uniform in
     [-0.1, 0.1] except W_11 = W_21 = 1 for two or more outputs.
     """
-    inputs = np.asarray(training_inputs, dtype=float)
-    if inputs.ndim != 2 or inputs.shape[1] != config.input_dim:
-        raise ConfigurationError(
-            f"training inputs must be (n, {config.input_dim}), got {inputs.shape}"
-        )
+    width = (None, config.input_dim)
+    inputs = _checked(training_inputs, width, "training feature", ConfigurationError)
     n = inputs.shape[0]
     if n < config.m_hidden:
         raise ConfigurationError(
             f"need at least m_hidden={config.m_hidden} training rows, got {n}"
         )
-    _check_finite(inputs, "training feature")
     x_min, x_max = _minmax_stats(inputs)
     norm = NormStats(
         x_min, x_max,
@@ -390,13 +377,8 @@ def train_step(
     update by delta_j instead of delta_j^2; the span rule is shared. All
     updates read the pre-step state; spans are floored at 1e-6 afterwards.
     """
-    x = net._check_x(x)
-    d = np.asarray(d, dtype=float)
-    if d.shape != (net.output_dim,):
-        raise DomainError(
-            f"expected target vector of length {net.output_dim}, got shape {d.shape}"
-        )
-    _sgd(net, [x], [d], (0,), config, np.empty(1))
+    d = _checked([d], (1, net.output_dim), "target", DomainError)[0]
+    _sgd(net, [net._check_x(x)], [d], (0,), config, np.empty(1))
     return net
 
 
@@ -419,25 +401,16 @@ def train(
     mean pre-update sum_k e_k^2 across the epoch. Deterministic given
     (config, data). Divergence raises with the failing epoch attached.
     """
-    X = np.asarray(features, dtype=float)
-    Y = np.asarray(targets, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
-        raise ConfigurationError(
-            f"features must be (n, {net.input_dim}), got {X.shape}"
-        )
-    if Y.ndim != 2 or Y.shape != (X.shape[0], net.output_dim):
-        raise ConfigurationError(
-            f"targets must be ({X.shape[0]}, {net.output_dim}), got {Y.shape}"
-        )
-    if X.shape[0] == 0:
+    k, width = net.output_dim, (None, net.input_dim)
+    X = _checked(features, width, "training feature", ConfigurationError)
+    Y = _checked(targets, (len(X), k), "training target", ConfigurationError)
+    if len(X) == 0:
         raise ConfigurationError("training set is empty")
-
-    checks = [(X, "training feature"), (Y, "training target")]
     if validation is not None:
-        Xv, Yv = (np.asarray(a, dtype=float) for a in validation)
-        checks += [(Xv, "validation feature"), (Yv, "validation target")]
-    for data, what in checks:
-        _check_finite(data, what)
+        Xv = _checked(validation[0], width, "validation feature", ConfigurationError)
+        flat = np.ndim(validation[1]) == 1 and k == 1  # one output may come flat
+        shape = (len(Xv),) if flat else (len(Xv), k)
+        Yv = _checked(validation[1], shape, "validation target", ConfigurationError)
 
     y_min, y_max = _minmax_stats(Y)
     net.norm.y_min, net.norm.y_max = y_min, y_max
@@ -558,10 +531,9 @@ def load_model(path: str) -> tuple[RbfNetwork, RbfConfig]:
     missing = required - set(doc)
     if missing:
         raise SchemaError(f"{path}: missing keys {sorted(missing)}")
-    if doc["format_version"] != MODEL_FORMAT_VERSION:
-        raise SchemaError(
-            f"{path}: unsupported format_version {doc['format_version']!r}"
-        )
+    version = doc["format_version"]
+    if isinstance(version, bool) or version != MODEL_FORMAT_VERSION:  # True == 1
+        raise SchemaError(f"{path}: unsupported format_version {version!r}")
     try:
         config = RbfConfig(**doc["config"])
         stats = doc["norm_stats"]

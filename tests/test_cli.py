@@ -103,6 +103,16 @@ class TestGenerate:
         ))
         assert not (tmp_path / "out" / "dataset.csv").exists()
 
+    def test_overflowing_rss_names_the_row(self, tmp_path, env_file):
+        cfg = base_run_config(env_file)
+        cfg["budget"].update(tx_power_dbm=1e308, tx_gain_dbi=1e308)
+        write_json(tmp_path / "run.json", cfg)
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("generate", "--config", "run.json")
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: row 0: rss_dbm must be finite, got inf\n"
+        assert not (tmp_path / "out" / "dataset.csv").exists()
+
     def test_unknown_environment_fails_validation(self, tmp_path, env_file):
         cfg_path = tmp_path / "run.json"
         cfg = base_run_config(env_file)
@@ -630,6 +640,50 @@ def test_non_utf8_file_exits_2(small_run, tmp_path, target):
         assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
 
 
+MODEL_ARRAYS = [
+    "centers", "spans", "weights",
+    "norm_stats.x_min", "norm_stats.x_max", "norm_stats.y_min", "norm_stats.y_max",
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("array", MODEL_ARRAYS)
+def test_non_finite_model_array_exits_2(small_run, tmp_path, array, bad):
+    """json reads NaN and Infinity; a model holding one is rejected by name."""
+    doc = json.loads((small_run / "out" / "model.json").read_text(encoding="utf-8"))
+    *block, name = array.split(".")
+    node = doc[block[0]] if block else doc
+    values = np.array(node[name], dtype=float)
+    values.flat[-1] = bad
+    node[name] = values.tolist()
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")  # writes NaN, Infinity
+    for argv in (
+        ["predict", str(model), "--row", "500,100,2000,100"],
+        ["eval", str(model), str(small_run / "out" / "dataset.csv")],
+    ):
+        code, stdout, stderr = run_main(*argv)
+        assert (code, stdout) == (2, "")
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith(f"error: {model}: malformed model document: ")
+        assert f"non-finite {name} at row " in stderr
+
+
+@pytest.mark.parametrize("name", ["out/dataset.csv", "features.csv"])
+def test_predict_input_skips_leading_comments(small_run, tmp_path, name):
+    """predict --input reads "#" lines before the header as comments, as the
+    other CSV readers do, whichever of its two schemas follows them."""
+    model = str(small_run / "out" / "model.json")
+    plain = run_main("predict", model, "--input", str(small_run / name))
+    commented = tmp_path / "input.csv"
+    commented.write_text(
+        "# note\n# another\n" + (small_run / name).read_text(encoding="utf-8"),
+        encoding="utf-8",
+    )
+    assert plain[0] == 0
+    assert run_main("predict", model, "--input", str(commented)) == plain
+
+
 class TestPredict:
     def test_row_matches_library_prediction(self, workspace):
         dataset = generate(workspace)
@@ -935,6 +989,20 @@ class TestCurves:
             "error: environment name 'sub\\nurban' must be one line\n"
         )
         assert not list(tmp_path.glob("out/*"))
+
+    def test_rician_k_db_past_the_float_range_is_located(self, tmp_path, env_file):
+        cfg = base_run_config(env_file)
+        cfg["curves"].update(rician_k_db=True, rician_k=[10.0, 4000.0])
+        cfg_path = tmp_path / "run.json"
+        write_json(cfg_path, cfg)
+        lines = cfg_path.read_text(encoding="utf-8").splitlines()
+        line = lines.index('  "curves": {') + 1
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("curves", "rician", "--config", "run.json")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: run.json:{line}: curves: malformed value: ")
+        assert stderr.count("\n") == 1
+        assert not (tmp_path / "out" / "rician.csv").exists()
 
     def test_unknown_curve_rejected(self, workspace):
         tmp, cfg = workspace

@@ -75,6 +75,12 @@ class TestLinkBudget:
         with pytest.raises(DomainError):
             rss_from_path_loss(budget, math.inf)
 
+    def test_overflowing_rss_rejected(self):
+        budget = LinkBudget(tx_power_dbm=1e308, tx_gain_dbi=1e308)
+        with pytest.raises(DomainError) as excinfo:
+            rss_from_path_loss(budget, 100.0)
+        assert str(excinfo.value) == "rss_dbm must be finite, got inf"
+
     def test_fading_spec_validation(self):
         with pytest.raises(ConfigurationError):
             FadingSpec(kind="nakagami")

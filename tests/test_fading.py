@@ -163,6 +163,12 @@ class TestKdbParameterization:
         with pytest.raises(DomainError):
             rician_pdf_kdb(3.0, -1.0, 1.0)
 
+    @pytest.mark.parametrize("k_db", [-4000.0, 4000.0, 3080.0])
+    def test_k_factor_past_the_float_range_names_k_db(self, k_db):
+        with pytest.raises(DomainError) as excinfo:
+            rician_pdf_kdb(k_db, 1.0, 1.0)
+        assert str(excinfo.value).startswith("k_db must ")
+
 
 class TestSampling:
     def test_seed_reproducibility(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import importlib
+import inspect
 import re
 import types
 from pathlib import Path
@@ -125,3 +127,72 @@ def test_readme_lists_the_config_flags_of_each_command():
         assert options[command] == flags, command
     for command in others:
         assert not options[command] & flags, command
+
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def module_constants(tree: ast.Module) -> dict[str, ast.expr]:
+    """Value of each module-level NAME = ... assignment."""
+    return {
+        node.targets[0].id: node.value for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+    }
+
+
+def traced_callable(qualname: str):
+    """The skylink function or method that bench/trace_child.py wraps as qualname."""
+    layer, *path = qualname.split(".")
+    obj = importlib.import_module(f"skylink.{layer}")
+    for attr in path:
+        obj = getattr(obj, attr)
+    assert inspect.isfunction(obj), qualname
+    if len(path) == 1:  # the tracer wraps only public functions of the layer
+        assert not path[0].startswith("_") and obj.__module__ == f"skylink.{layer}"
+    return obj
+
+
+def test_benchmark_tracer_matches_the_source():
+    """Each span the benchmark tracer records or bench/layers.py reads names a
+    skylink function, and each argument a counter reads by position has that
+    name there. A renamed function or parameter would zero a per-layer metric
+    silently instead."""
+    trace = ast.parse((BENCH / "trace_child.py").read_text(encoding="utf-8"))
+    constants = module_constants(trace)
+    counts = constants["COUNTS"]
+    counter_of = {  # span -> name of its counter function
+        ast.literal_eval(key): fn.id for key, fn in zip(counts.keys, counts.values)
+    }
+    methods = ast.literal_eval(constants["METHODS"])
+    for layer, (cls, method) in methods.items():
+        traced_callable(f"{layer}.{cls}.{method}")
+    reads = {  # counter -> (position, parameter name) of each _arg call in it
+        fn.name: [
+            tuple(ast.literal_eval(a) for a in call.args[2:]) for call in ast.walk(fn)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "_arg"
+        ]
+        for fn in trace.body if isinstance(fn, ast.FunctionDef)
+    }
+    checked = 0
+    for qualname, counter in counter_of.items():
+        params = list(inspect.signature(traced_callable(qualname)).parameters)
+        for index, name in reads[counter]:
+            assert params[index] == name, (qualname, index, name)
+            checked += 1
+    assert checked >= 8
+
+    layers = ast.parse((BENCH / "layers.py").read_text(encoding="utf-8"))
+    spans = set(ast.literal_eval(module_constants(layers)["GEN"]))
+    for node in ast.walk(layers):  # t.dur["layer.name"], qual != "layer.name"
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute):
+            key = node.slice
+        elif isinstance(node, ast.Compare):
+            key = node.comparators[0]
+        else:
+            continue
+        if isinstance(key, ast.Constant) and "." in str(key.value):  # not a layer
+            spans.add(key.value)
+    assert len(spans) >= 15
+    for qualname in spans:
+        traced_callable(qualname)

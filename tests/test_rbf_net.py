@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tempfile
 import warnings
@@ -442,6 +443,18 @@ class TestNormStats:
                 y_min=np.array([0.0]), y_max=np.array([1.0]),
             )
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("x_min", [[0.0]], "x_min array must have shape (*), got (1, 1)"),
+        ("x_max", [1.0, 2.0], "x_max array must have shape (1), got (2)"),
+        ("y_min", [math.nan], "non-finite y_min at row 0, column 0: nan"),
+        ("y_max", [math.inf], "non-finite y_max at row 0, column 0: inf"),
+    ])
+    def test_each_array_is_one_dimensional_and_finite(self, field, value, message):
+        stats = {"x_min": [0.0], "x_max": [1.0], "y_min": [0.0], "y_max": [1.0]}
+        with pytest.raises(ConfigurationError) as excinfo:
+            NormStats(**{**stats, field: value})
+        assert str(excinfo.value) == message
+
 
 def toy_problem(n=40, seed=3):
     """Smooth scalar map on [0, 1]^2 with raw-unit targets."""
@@ -719,6 +732,18 @@ class TestPersistence:
             load_model(path)
         assert "format_version" in str(excinfo.value)
 
+    def test_rejects_a_boolean_version(self, tmp_path):
+        X, Y = toy_problem()
+        config = RbfConfig(m_hidden=6, input_dim=2, epochs=2, seed=9)
+        path = tmp_path / "model.json"
+        save_model(path, init_network(config, X), config)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["format_version"] = True  # True == 1 in Python
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value) == f"{path}: unsupported format_version True"
+
     def test_rejects_inconsistent_shapes(self, tmp_path):
         X, Y = toy_problem()
         config = RbfConfig(m_hidden=6, input_dim=2, epochs=2, seed=10)
@@ -819,6 +844,63 @@ class TestNonFiniteInput:
         batch[2, 0] = bad
         with pytest.raises(DomainError, match="row 2, column 0"):
             net.predict(batch)
+
+    def test_train_checks_validation_shape_before_training(self):
+        X, Y = toy_problem()
+        net = init_network(self.config(), X)
+        before = net.copy()
+        with pytest.raises(ConfigurationError) as excinfo:
+            train(net, X, Y, self.config(), validation=(X[:4], Y[:3]))
+        assert str(excinfo.value) == (
+            "validation target array must have shape (4, 1), got (3, 1)"
+        )
+        assert_same_parameters(net, before)
+
+    @pytest.mark.parametrize("array, index", [
+        ("centers", (1, 0)), ("spans", (2,)), ("weights", (0, 3)),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_network_rejects_non_finite_parameters(self, array, index, bad):
+        rng = np.random.default_rng(5)
+        parts = {
+            "centers": rng.uniform(size=(4, 2)), "spans": np.full(4, 0.5),
+            "weights": rng.uniform(size=(1, 4)), "norm": identity_norm(2),
+        }
+        parts[array][index] = bad
+        row, column = (*index, 0)[:2]
+        with pytest.raises(DomainError) as excinfo:
+            RbfNetwork(**parts)
+        assert str(excinfo.value) == (
+            f"non-finite {array} at row {row}, column {column}: {bad}"
+        )
+
+    @pytest.mark.parametrize("part, value, message", [
+        ("centers", np.zeros(3), "centers array must have shape (*, *), got (3)"),
+        ("spans", np.ones(3), "spans array must have shape (2), got (3)"),
+        ("weights", np.ones((1, 3)), "weights array must have shape (*, 2), got (1, 3)"),
+        ("norm", identity_norm(3), "norm.x_min array must have shape (2), got (3)"),
+        ("norm", identity_norm(2, 2), "norm.y_min array must have shape (1), got (2)"),
+    ])
+    def test_network_names_the_array_of_wrong_shape(self, part, value, message):
+        parts = {
+            "centers": np.zeros((2, 2)), "spans": np.ones(2),
+            "weights": np.ones((1, 2)), "norm": identity_norm(2),
+        }
+        with pytest.raises(DomainError) as excinfo:
+            RbfNetwork(**{**parts, part: value})
+        assert str(excinfo.value) == message
+
+    def test_single_vectors_are_checked_as_one_row(self):
+        net, config = one_unit_net(), RbfConfig(m_hidden=1, input_dim=1)
+        for call in (
+            lambda: net.hidden_activations([math.nan]),
+            lambda: train_step(net, [0.5], [math.inf], config),
+        ):
+            with pytest.raises(DomainError, match="at row 0, column 0"):
+                call()
+        with pytest.raises(DomainError) as excinfo:
+            net.forward([0.1, 0.2])
+        assert str(excinfo.value) == "feature array must have shape (1, 1), got (1, 2)"
 
     def test_predict_rejects_overflowing_distance(self):
         X, Y = toy_problem()
