@@ -320,16 +320,16 @@ def _curve_rician(cfg: RunConfig, args):
                 "curves", f"rician_k_db must be true or false, got {in_db!r}"
             )
         k_lin = [10.0 ** (k / 10.0) if in_db else k for k in k_list]  # may overflow
+        params = [fading.params_from_k(linear) for linear in k_lin]  # K >= 0
     if rician_points < 2:
         raise cfg.fail("curves", f"rician_points must be >= 2, got {rician_points}")
     grid = np.linspace(0.0, rician_r_max, rician_points)
     unit = "dB" if in_db else ""
     columns = []
     labels = []
-    for k, linear in zip(k_list, k_lin):
-        params = fading.params_from_k(linear)
+    for k, linear, kparams in zip(k_list, k_lin, params):
         labels.append(f"K={k:g}{unit}" + (" (Rayleigh)" if linear == 0.0 else ""))
-        columns.append([fading.rician_pdf(params, float(r)) for r in grid])
+        columns.append([fading.rician_pdf(kparams, float(r)) for r in grid])
     header = ["r"] + [f"pdf_K{k:g}{unit}" for k in k_list]
     rows = [[float(r)] + [col[i] for col in columns] for i, r in enumerate(grid)]
     notes = [

@@ -7,7 +7,11 @@ through a link budget, and serializes datasets as CSV plus a JSON metadata
 sidecar sufficient to regenerate the file bit for bit.
 
 Fading draws use a per-row substream seeded by (budget seed, row index),
-so row order and parallel generation cannot change the output.
+so row order and parallel generation cannot change the output. Generation
+seeds those substreams in one batched pass that is bit-identical to
+``np.random.default_rng([seed, index])``: it mirrors numpy's SeedSequence
+pool mixing on uint32 arrays, a chunk of rows at a time, and PCG64's
+seeding on Python ints, then draws each row from one reused Generator.
 """
 
 from __future__ import annotations
@@ -84,17 +88,111 @@ def fading_draw_db(budget: LinkBudget, index: int) -> float:
     draws an amplitude and converts to a power loss relative to the
     distribution's mean power (-10 log10(r^2 / (s^2 + 2 delta^2))), so the
     term is mean-power-neutral for any parameter scale. off draws 0.
+
+    The substream is ``np.random.default_rng([budget.seed, index])``.
+    Generation seeds all its rows in one batched pass instead, which mirrors
+    numpy's SeedSequence pool mixing and PCG64 seeding and gives these
+    draws bit for bit.
     """
-    kind = budget.fading.kind
-    if kind == "off":
+    if budget.fading.kind == "off":
         return 0.0
-    rng = np.random.default_rng([budget.seed, index])
-    if kind == "gaussian_shadow":
-        return budget.fading.sigma_db * float(rng.standard_normal())
-    params = budget.fading.rician
+    return _draw_db(budget.fading, np.random.default_rng([budget.seed, index]))
+
+
+def _draw_db(fading: FadingSpec, rng: np.random.Generator) -> float:
+    """The dB fading term of one gaussian_shadow or rician draw from rng."""
+    if fading.kind == "gaussian_shadow":
+        return fading.sigma_db * float(rng.standard_normal())
+    params = fading.rician
     amp_sq = _rician_power(params, *rng.standard_normal(2))
     mean_power = params.s**2 + 2.0 * params.delta**2
     return -10.0 * math.log10(amp_sq / mean_power)
+
+
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants.
+# The hash constants stay Python ints below 2^32: uint32 arrays wrap on
+# overflow silently, where a uint32 scalar would warn.
+_MASK32 = 0xFFFF_FFFF
+_POOL_SIZE = 4
+_HASH_POOL = (0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A: entropy into the pool
+_HASH_STATE = (0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B: generate_state
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+_SEED_CHUNK = 1024  # rows seeded per vectorised pass; bounds the Python ints alive
+
+
+def _hash_steps(init: int, mult: int):
+    """(h, h * mult mod 2^32) pairs of SeedSequence's running hash constant."""
+    consts = itertools.accumulate(
+        itertools.repeat(mult), lambda h, m: h * m & _MASK32, initial=init
+    )
+    return itertools.pairwise(consts)
+
+
+def _hashmix(value: np.ndarray, steps) -> np.ndarray:
+    """SeedSequence's hashmix of a uint32 array; advances the hash constant."""
+    xor, mult = next(steps)
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of two uint32 arrays."""
+    result = x * _MIX_L - y * _MIX_R
+    return result ^ (result >> 16)
+
+
+def _pcg64_states(seed: int, start: int, stop: int):
+    """Yield the PCG64 state of default_rng([seed, i]) for i in range(start, stop).
+
+    SeedSequence runs on uint32 arrays with one entry per row: the entropy
+    words (the seed's, then the index's single word; indices stay below
+    2^32) hash into a pool of 4, every pool word mixes into every other,
+    any fifth or later word mixes into each, and generate_state(4, uint64)
+    hashes the pool out. PCG64 then seeds on Python ints: state 0,
+    inc = 2 seq + 1, one step, add the initial state, one step.
+    """
+    rows = stop - start
+    shifts = range(0, max(seed.bit_length(), 1), 32)  # its little-endian words
+    entropy = [np.full(rows, seed >> k & _MASK32, np.uint32) for k in shifts]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    entropy += [np.zeros(rows, np.uint32)] * (_POOL_SIZE - len(entropy))
+    steps = _hash_steps(*_HASH_POOL)
+    pool = [_hashmix(word, steps) for word in entropy[:_POOL_SIZE]]
+    for src, dst in itertools.permutations(range(_POOL_SIZE), 2):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], steps))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, steps))
+    steps = _hash_steps(*_HASH_STATE)
+    words = np.array([_hashmix(pool[i % _POOL_SIZE], steps) for i in range(8)])
+    words = words.astype(np.uint64)
+    seed_hi, seed_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).tolist()
+    for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        yield {
+            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+
+
+def _fading_draws_db(budget: LinkBudget, n: int):
+    """Yield fading_draw_db(budget, i) for i in range(n), bit for bit.
+
+    Rows are seeded _SEED_CHUNK at a time and drawn from one Generator
+    whose state is set per row; off yields zeros and builds no generator.
+    """
+    if budget.fading.kind == "off":
+        yield from itertools.repeat(0.0, n)
+        return
+    rng = np.random.Generator(np.random.PCG64(0))
+    bits = rng.bit_generator
+    for start in range(0, n, _SEED_CHUNK):
+        for state in _pcg64_states(budget.seed, start, min(n, start + _SEED_CHUNK)):
+            bits.state = state
+            yield _draw_db(budget.fading, rng)
 
 
 def rss_from_path_loss(budget: LinkBudget, pl_db: float, draw_db: float = 0.0) -> float:
@@ -193,10 +291,13 @@ def _generate(
     path_loss, plos = cm._channel_rows(
         env, geometries, f_mhz, pl_model, plos_model, rx_height_m
     )
+    draws = _fading_draws_db(budget, len(geometries))
     samples = []
-    for i, ((h_m, d_m), pl, p) in enumerate(zip(geometries, path_loss, plos)):
+    for i, ((h_m, d_m), pl, p, draw) in enumerate(
+        zip(geometries, path_loss, plos, draws)
+    ):
         try:
-            rss = rss_from_path_loss(budget, pl, fading_draw_db(budget, i))
+            rss = rss_from_path_loss(budget, pl, draw)
         except DomainError as exc:
             raise DomainError(f"row {i}: {exc}") from None
         samples.append(Sample(

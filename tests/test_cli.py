@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import copy
+import hashlib
 import io
 import json
 import math
@@ -102,6 +103,33 @@ class TestGenerate:
             "fading: unknown keys ['sigma_db']\n"
         ))
         assert not (tmp_path / "out" / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("fading, seed, digest", [
+        (
+            {"kind": "rician", "s": 1.0, "delta": 0.5}, None,
+            "b69fc847c6edcf50ec10cf641c1bff768dfa83512a36c2d2c7bf36009931550f",
+        ),
+        (
+            {"kind": "gaussian_shadow", "sigma_db": 3.0}, 2**32,
+            "dbd42bfc6aca9d16aa46f0a42d7b6a711605d4a1d292feb3a1ee327672e74d70",
+        ),
+        (
+            {"kind": "rician", "s": 1.0, "delta": 0.5}, 2**64,
+            "35863d14b3489cbf5e82e30fb4e4f0f0bf0d9239ef74db45680cc1641601bd9c",
+        ),
+    ], ids=["rician-default-seed", "gaussian_shadow-seed-2^32", "rician-seed-2^64"])
+    def test_faded_dataset_bytes_are_pinned(self, tmp_path, env_file, fading, seed, digest):
+        # Digests of the per-row default_rng([seed, index]) draws; a change to
+        # the bits of any fading draw changes them.
+        cfg = base_run_config(env_file)
+        cfg["budget"]["fading"] = fading
+        write_json(tmp_path / "run.json", cfg)
+        extra = () if seed is None else ("--seed", str(seed))
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("generate", "--config", "run.json", *extra)
+        assert (code, stderr) == (0, "")
+        data = (tmp_path / "out" / "dataset.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_overflowing_rss_names_the_row(self, tmp_path, env_file):
         cfg = base_run_config(env_file)
@@ -1002,6 +1030,21 @@ class TestCurves:
         assert (code, stdout) == (2, "")
         assert stderr.startswith(f"error: run.json:{line}: curves: malformed value: ")
         assert stderr.count("\n") == 1
+        assert not (tmp_path / "out" / "rician.csv").exists()
+
+    def test_negative_linear_k_is_located(self, tmp_path, env_file):
+        cfg = base_run_config(env_file)
+        cfg["curves"]["rician_k"] = [0.0, -1.0]
+        write_json(tmp_path / "run.json", cfg)
+        lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+        line = lines.index('  "curves": {') + 1
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("curves", "rician", "--config", "run.json")
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: run.json:{line}: curves: malformed value: "
+            "k must be finite and >= 0, got -1.0\n"
+        )
         assert not (tmp_path / "out" / "rician.csv").exists()
 
     def test_unknown_curve_rejected(self, workspace):

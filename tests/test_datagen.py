@@ -51,7 +51,7 @@ from skylink import (
     write_dataset,
 )
 from skylink import channel_models
-from skylink.datagen import scenario_layout
+from skylink.datagen import _SEED_CHUNK, _fading_draws_db, scenario_layout
 
 
 class TestLinkBudget:
@@ -216,6 +216,75 @@ class TestFadingDraws:
             g1, g2 = np.random.default_rng([6, i]).standard_normal(2).tolist()
             amp_sq = (1.0 + 0.5 * g1) ** 2 + (0.5 * g2) ** 2
             assert fading_draw_db(budget, i) == -10.0 * math.log10(amp_sq / 1.5)
+
+
+# Seeds whose uint32 word count or top word sits at an edge of SeedSequence's
+# entropy handling; 2^100 is four words, so the index is a fifth, mixed late.
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64, 2**100]
+FADINGS = {
+    "gaussian_shadow": FadingSpec(kind="gaussian_shadow", sigma_db=4.0),
+    "rician": FadingSpec(kind="rician", rician=RicianParams(s=1.0, delta=0.5)),
+}
+
+
+class TestBatchedFadingDraws:
+    """Generation's batched seeding against fading_draw_db, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(FADINGS)),
+        seed=st.sampled_from(EDGE_SEEDS) | st.integers(0, 2**101),
+        n=st.sampled_from([_SEED_CHUNK - 1, _SEED_CHUNK, _SEED_CHUNK + 1])
+        | st.integers(0, 40),
+    )
+    @example(kind="rician", seed=0, n=_SEED_CHUNK + 1)
+    @example(kind="gaussian_shadow", seed=1, n=_SEED_CHUNK)
+    @example(kind="rician", seed=2**32 - 1, n=_SEED_CHUNK - 1)
+    @example(kind="gaussian_shadow", seed=2**32, n=_SEED_CHUNK + 1)
+    @example(kind="rician", seed=2**63, n=20)
+    @example(kind="rician", seed=2**64, n=_SEED_CHUNK + 1)
+    @example(kind="gaussian_shadow", seed=2**100, n=_SEED_CHUNK + 1)
+    def test_equals_the_per_row_reference(self, kind, seed, n):
+        budget = LinkBudget(fading=FADINGS[kind], seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # uint32 overflow must wrap silently
+            batch = list(_fading_draws_db(budget, n))
+        reference = [fading_draw_db(budget, i) for i in range(n)]
+        assert [d.hex() for d in batch] == [d.hex() for d in reference]
+
+    def test_off_yields_zeros_and_builds_no_generator(self, monkeypatch):
+        def no_generator(*args, **kwargs):
+            raise AssertionError("off fading built a generator")
+
+        for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+            monkeypatch.setattr(np.random, name, no_generator)
+        budget = LinkBudget(seed=2**64)
+        draws = list(_fading_draws_db(budget, _SEED_CHUNK + 1))
+        assert [d.hex() for d in draws] == [(0.0).hex()] * (_SEED_CHUNK + 1)
+
+    def test_generation_seeds_no_row_through_default_rng(self, urban, monkeypatch):
+        budget = LinkBudget(fading=FADINGS["rician"], seed=9)
+        distances = [float(d) for d in np.linspace(100.0, 2000.0, 30)]
+        seen = []
+        default_rng = np.random.default_rng
+
+        def recording(*args, **kwargs):
+            seen.append(args)
+            return default_rng(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        ds = gen_distance_sweep(urban, 100.0, distances, budget=budget)
+        assert seen == []
+        monkeypatch.undo()
+        assert [s.rss_dbm for s in ds.samples] == [
+            rss_from_path_loss(budget, s.pl_db, fading_draw_db(budget, s.index))
+            for s in ds.samples
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(FADINGS))
+    def test_negative_index_still_raises(self, kind):
+        with pytest.raises(ValueError, match="non-negative"):
+            fading_draw_db(LinkBudget(fading=FADINGS[kind], seed=3), -1)
 
 
 class TestDistanceSweep:
