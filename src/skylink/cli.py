@@ -319,19 +319,25 @@ def _curve_rician(cfg: RunConfig, args):
             raise cfg.fail(
                 "curves", f"rician_k_db must be true or false, got {in_db!r}"
             )
-        k_lin = [10.0 ** (k / 10.0) if in_db else k for k in k_list]  # may overflow
-        params = [fading.params_from_k(linear) for linear in k_lin]  # K >= 0
     if rician_points < 2:
         raise cfg.fail("curves", f"rician_points must be >= 2, got {rician_points}")
     grid = np.linspace(0.0, rician_r_max, rician_points)
     unit = "dB" if in_db else ""
-    columns = []
-    labels = []
-    for k, linear, kparams in zip(k_list, k_lin, params):
-        labels.append(f"K={k:g}{unit}" + (" (Rayleigh)" if linear == 0.0 else ""))
-        columns.append([fading.rician_pdf(kparams, float(r)) for r in grid])
+    labels, columns = [], []
+    for i, k in enumerate(k_list):
+        with cfg.reading("curves"):
+            try:
+                kparams = fading.params_from_k(10.0 ** (k / 10.0) if in_db else k)
+            except (OverflowError, DomainError):
+                if k < 0.0 and not in_db:
+                    raise  # params_from_k names the negative K
+                raise DomainError(
+                    f"rician_k[{i}] must keep K and 2 (K + 1) in float range, got {k!r}"
+                ) from None
+            columns.append(fading.rician_pdf(kparams, grid).tolist())
+        labels.append(f"K={k:g}{unit}" + (" (Rayleigh)" if kparams.s == 0.0 else ""))
     header = ["r"] + [f"pdf_K{k:g}{unit}" for k in k_list]
-    rows = [[float(r)] + [col[i] for col in columns] for i, r in enumerate(grid)]
+    rows = list(zip(grid.tolist(), *columns))
     notes = [
         "amplitude density, unit mean power per series",
         "series: " + ", ".join(labels),

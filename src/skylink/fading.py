@@ -1,22 +1,30 @@
 """Rician small-scale fading: PDF, K-factor conversions, and sampling.
 
-The amplitude density is evaluated in log space internally (with log I0 of
-the modified Bessel function) so large LoS-to-scatter ratios do not overflow
-before the final exponentiation.
+The density and bessel_i0 share one array routine for log(I0(z) e^-z). The
+density takes a float or an array of envelope values and is summed in log
+space as log r - log delta^2 - (r - s)^2 / (2 delta^2) + [log I0(z) - z],
+z = r s / delta^2, so no two terms of size ~K cancel at a large K.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, require
 
-# Switch point between the I0 power series and its asymptotic expansion.
-_I0_ASYMPTOTIC_CUTOFF = 15.0
-_I0_RELATIVE_TOL = 1e-16
+_SERIES_LIMIT = 30.0  # I0 by its power series up to here, asymptotically above
+# Coefficients, highest order first, of sum_k (z^2/4)^k / (k!)^2 (50 terms)
+# and of I0(z) e^-z sqrt(2 pi z) = sum_k ((2k - 1)!!)^2 / (k! 8^k) z^-k (20).
+_SERIES = [1.0 / math.factorial(k) ** 2 for k in reversed(range(50))]
+_ASYMPTOTIC = [
+    math.factorial(2 * k) ** 2 / (math.factorial(k) ** 3 * 32**k)
+    for k in reversed(range(20))
+]
+_LOG_2PI = math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -38,76 +46,61 @@ class RicianParams:
         )
 
 
-def _log_bessel_i0(x: float) -> float:
-    """log I0(x) for x >= 0, accurate across both evaluation regimes."""
-    if x <= _I0_ASYMPTOTIC_CUTOFF:
-        # Power series sum_k (x^2/4)^k / (k!)^2, stopped at relative 1e-16.
-        term = 1.0
-        total = 1.0
-        k = 0
-        q = x * x / 4.0
-        while True:
-            k += 1
-            term *= q / (k * k)
-            total += term
-            if term < _I0_RELATIVE_TOL * total:
-                return math.log(total)
-    # Asymptotic form e^x / sqrt(2 pi x) * sum_k a_k / x^k with
-    # a_0 = 1, a_k = a_{k-1} (2k - 1)^2 / (8k); summed until terms stop
-    # shrinking (the series is divergent but its partial sums reach
-    # ~e^{-2x} relative accuracy at the smallest term).
-    coeff = 1.0
-    total = 1.0
-    prev = math.inf
-    k = 0
-    while True:
-        k += 1
-        coeff *= (2 * k - 1) ** 2 / (8.0 * k)
-        term = coeff / x**k
-        if term >= prev or term < _I0_RELATIVE_TOL * total:
-            if term < prev:
-                total += term
-            break
-        total += term
-        prev = term
-    return x - 0.5 * math.log(2.0 * math.pi * x) + math.log(total)
+def _log_i0e(z: np.ndarray) -> np.ndarray:
+    """log(I0(z) e^-z) of an array z >= 0; an infinite z gives -inf.
+
+    Both series go term by term by Horner's rule, in z^2/4 and in 1/z. The
+    asymptotic one's smallest term, near k = 2z, is ~e^-2z: below rounding.
+    """
+    out = np.empty_like(z)
+    small = z <= _SERIES_LIMIT
+    zs, zl = z[small], z[~small]
+    out[small] = np.log(np.polyval(_SERIES, zs * zs / 4.0) * np.exp(-zs))
+    out[~small] = np.log(np.polyval(_ASYMPTOTIC, 1.0 / zl) / np.sqrt(zl)) - _LOG_2PI / 2
+    return out
 
 
 def bessel_i0(x: float) -> float:
     """Modified Bessel function of the first kind, order zero.
 
-    Even in x. Evaluated by power series up to |x| = 15 and by the
-    asymptotic expansion beyond, where the direct series would need the
-    explicit exponential that this function exists to keep in log space
-    for density ratios.
+    Even in x: exp(|x| + log(I0(|x|) e^-|x|)). An x whose I0 leaves the
+    float range (|x| > ~713.98) is a DomainError.
     """
     require(DomainError, {"x": "finite"}, locals())
-    return math.exp(_log_bessel_i0(abs(x)))
+    z = abs(float(x))
+    try:
+        return math.exp(float(_log_i0e(np.asarray(z))) + z)
+    except OverflowError:
+        raise DomainError(f"x must keep I0(x) in float range, got {x!r}") from None
 
 
-def rician_pdf(params: RicianParams, r: float) -> float:
-    """Rician amplitude density at r >= 0.
+def rician_pdf(params: RicianParams, r: float | np.ndarray) -> float | np.ndarray:
+    """Rician amplitude density at r >= 0; an array r gives an array.
 
     f(r) = (r / delta^2) exp(-(r^2 + s^2) / (2 delta^2)) I0(r s / delta^2)
 
     s = 0 reduces to the Rayleigh density; large K concentrates the mass
-    near s with an approximately Gaussian shape of width delta.
+    near s with an approximately Gaussian shape of width delta. A density
+    past the float range (delta near the smallest floats) is a DomainError.
     """
-    if not math.isfinite(r):
-        raise DomainError(f"r must be finite, got {r!r}")
-    if r < 0.0:
-        raise DomainError(f"r must be >= 0, got {r}")
-    if r == 0.0:
-        return 0.0
-    s, delta = params.s, params.delta
-    var = delta * delta
-    log_f = (
-        math.log(r)
-        - math.log(var)
-        - (r * r + s * s) / (2.0 * var)
-        + _log_bessel_i0(r * s / var)
-    )
-    return math.exp(log_f)
+    x = np.asarray(r, dtype=float)
+    bad = x[~((x >= 0.0) & (x <= sys.float_info.max))]
+    if bad.size:  # the first bad value, checked as a float r is
+        rule = ">= 0" if np.isfinite(bad[0]) else "finite"
+        raise DomainError(f"r must be {rule}, got {bad[0]}")
+    log_var = 2.0 * math.log(params.delta)
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf, exp -> inf
+        log_r = np.log(x)
+        log_z = log_r + np.log(params.s) - log_var  # no delta^2 to underflow
+        z = np.exp(log_z)
+        log_i0e, big = _log_i0e(z), np.isinf(z)  # big: z past the float range,
+        log_i0e[big] = -0.5 * (_LOG_2PI + log_z[big])  # where the sum in 1/z is 1
+        d = (x - params.s) / params.delta
+        f = np.exp(log_r - log_var - 0.5 * d * d + log_i0e)
+    over = x[np.isinf(f)]
+    if over.size:
+        raise DomainError(f"r must keep the density in float range, got {over[0]}")
+    return float(f) if f.ndim == 0 else f
 
 
 def k_factor(params: RicianParams) -> float:

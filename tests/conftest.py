@@ -57,6 +57,27 @@ def cli_env(env=None):
     return env
 
 
+def rician_oracle(s, delta, r):
+    """The Rician amplitude density at 50 significant digits (an mpmath mpf)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        s, delta, r = mpmath.mpf(s), mpmath.mpf(delta), mpmath.mpf(r)
+        var = delta * delta
+        return r / var * mpmath.exp(-(r * r + s * s) / (2 * var)) * mpmath.besseli(
+            0, r * s / var
+        )
+
+
+def within_rician_bound(got, want) -> bool:
+    """|got - want| <= 16 eps (1 + |ln want|) want: the exponent of a density
+    summed in log space carries an absolute error that grows with its size."""
+    import mpmath
+
+    eps = sys.float_info.epsilon
+    return abs(got - want) <= 16 * eps * (1 + abs(mpmath.log(want))) * want
+
+
 def run_cli(*argv, cwd=None, env=None):
     """Run the CLI in a subprocess; returns CompletedProcess with text output."""
     return subprocess.run(

@@ -19,12 +19,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skylink import (
-    budget_from_dict, cli, gen_distance_sweep, load_environments, load_model,
-    read_curve_csv, read_dataset,
+    budget_from_dict, cli, fading, gen_distance_sweep, load_environments, load_model,
+    params_from_k, read_curve_csv, read_dataset,
 )
 from skylink.cli import RunConfig
 
-from conftest import ENVIRONMENTS, base_run_config, run_cli, write_json
+from conftest import (
+    ENVIRONMENTS, base_run_config, rician_oracle, run_cli, within_rician_bound,
+    write_json,
+)
 
 PROVENANCE_RE = re.compile(r"^skylink [0-9][^ ]* config_sha256=[0-9a-f]{12}$")
 
@@ -1031,6 +1034,49 @@ class TestCurves:
         assert stderr.startswith(f"error: run.json:{line}: curves: malformed value: ")
         assert stderr.count("\n") == 1
         assert not (tmp_path / "out" / "rician.csv").exists()
+
+    @pytest.mark.parametrize("in_db, k_list, named", [
+        (True, [3080.0], "rician_k[0]"), (False, [1e308], "rician_k[0]"),
+        (True, [10.0, 4000.0], "rician_k[1]"),
+    ], ids=["3080dB", "1e308", "4000dB"])
+    def test_extreme_k_names_its_entry(self, tmp_path, env_file, in_db, k_list, named):
+        cfg = base_run_config(env_file)
+        cfg["curves"].update(rician_k_db=in_db, rician_k=k_list)
+        write_json(tmp_path / "run.json", cfg)
+        lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+        line = lines.index('  "curves": {') + 1
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("curves", "rician", "--config", "run.json")
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: run.json:{line}: curves: malformed value: {named} must keep K "
+            f"and 2 (K + 1) in float range, got {k_list[-1]!r}\n"
+        )
+        assert not (tmp_path / "out" / "rician.csv").exists()
+
+    def test_large_k_peak_matches_mpmath(self, tmp_path, env_file):
+        cfg = base_run_config(env_file)
+        cfg["curves"]["rician_k"] = [1e30, 1e14]
+        write_json(tmp_path / "run.json", cfg)
+        proc = run_cli("curves", "rician", "--config", "run.json", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        _, _, rows = read_curve_csv(tmp_path / "out" / "rician.csv")
+        peak = next(row for row in rows if row[0] == 1.0)
+        for k, got in zip((1e30, 1e14), peak[1:]):
+            params = params_from_k(k)
+            want = rician_oracle(params.s, params.delta, 1.0)
+            assert within_rician_bound(got, want), (k, got, want)
+
+    def test_one_density_call_per_k(self, workspace, monkeypatch):
+        tmp, cfg = workspace
+        calls = []
+        pdf = fading.rician_pdf
+        monkeypatch.setattr(
+            fading, "rician_pdf", lambda params, r: calls.append(r) or pdf(params, r)
+        )
+        with contextlib.chdir(tmp):
+            assert run_main("curves", "rician", "--config", str(cfg))[0] == 0
+        assert [np.shape(r) for r in calls] == [(121,)] * 3
 
     def test_negative_linear_k_is_located(self, tmp_path, env_file):
         cfg = base_run_config(env_file)

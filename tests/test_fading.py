@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 import scipy.integrate
 import scipy.special
 import scipy.stats
@@ -21,6 +25,10 @@ from skylink import (
     rician_pdf_kdb,
     sample_rician,
 )
+
+from conftest import rician_oracle, within_rician_bound
+
+EPS = sys.float_info.epsilon
 
 
 def i0_series(x, terms=30):
@@ -49,6 +57,24 @@ class TestBesselI0:
         for x in xs:
             want = scipy.special.i0e(x) * math.exp(x)
             assert bessel_i0(float(x)) == pytest.approx(want, rel=1e-10)
+
+    def test_matches_mpmath_on_both_sides_of_the_series_limit(self):
+        # exp(|x| + log(I0 e^-|x|)) carries ~eps |x| from the exponent.
+        xs = [*np.linspace(0.0, 700.0, 281), 29.5, 29.999, 30.0, 30.001, 30.5]
+        for x in map(float, xs):
+            with mpmath.workdps(50):
+                want = mpmath.besseli(0, x)
+            assert abs(bessel_i0(x) - want) <= 16 * EPS * (1 + x) * want, x
+
+    @pytest.mark.parametrize("x", [713.98, -713.98])
+    def test_last_arguments_inside_the_float_range(self, x):
+        assert math.isfinite(bessel_i0(x))
+
+    @pytest.mark.parametrize("x", [713.99, -713.99, 800.0])
+    def test_past_the_float_range_is_a_domain_error(self, x):
+        with pytest.raises(DomainError) as excinfo:
+            bessel_i0(x)
+        assert str(excinfo.value) == f"x must keep I0(x) in float range, got {x!r}"
 
     def test_monotone_increasing_for_positive_x(self):
         xs = np.linspace(0.0, 60.0, 500)
@@ -97,6 +123,106 @@ class TestRicianPdf:
             RicianParams(s=-1.0, delta=1.0)
         with pytest.raises(DomainError):
             RicianParams(s=1.0, delta=0.0)
+
+
+MPMATH_K = [0.0, 0.5, 1.0, 3.0, 10.0, 30.0, 50.0, 100.0, 1e3, 1e6, 1e10, 1e14, 1e30]
+
+
+def log_uniform(low=-323.0, high=308.0):
+    """Positive floats spread evenly in log10 over [10^low, 10^high]."""
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+class TestRicianArrays:
+    @pytest.mark.parametrize("k", MPMATH_K)
+    def test_matches_mpmath(self, k):
+        # The grid plus s + j delta, so a large K's narrow peak is sampled.
+        params = params_from_k(k)
+        grid = np.concatenate([
+            np.linspace(0.0, 3.0, 151)[1:],
+            params.s + params.delta * np.arange(-4.0, 5.0),
+        ])
+        grid = grid[(grid > 0.0) & (grid <= 3.0)]
+        checked = 0
+        for r, got in zip(grid, rician_pdf(params, grid)):
+            want = rician_oracle(params.s, params.delta, r)
+            if want >= 1e-300:
+                assert within_rician_bound(got, want), (k, r, got, want)
+                checked += 1
+        assert checked >= 9
+
+    @pytest.mark.parametrize("k", [0.0, 3.0, 10.0, 100.0, 1e14])
+    def test_array_equals_scalar_calls_bit_for_bit(self, k):
+        params = params_from_k(k)
+        grid = np.linspace(0.0, 3.0, 401)  # r s / delta^2 on both sides of 30
+        got = rician_pdf(params, grid)
+        assert [v.hex() for v in got.tolist()] == [
+            rician_pdf(params, r).hex() for r in grid.tolist()
+        ]
+
+    def test_a_float_gives_a_float_and_an_array_keeps_its_shape(self):
+        params = RicianParams(s=1.0, delta=0.5)
+        assert type(rician_pdf(params, 1.0)) is float
+        assert type(rician_pdf(params, np.float64(1.0))) is float
+        got = rician_pdf(params, np.full((2, 3), 1.0))
+        assert isinstance(got, np.ndarray) and got.shape == (2, 3)
+        assert got.tolist() == [[rician_pdf(params, 1.0)] * 3] * 2
+
+    @pytest.mark.parametrize("r, message", [
+        ([0.5, math.nan, -1.0], "r must be finite, got nan"),
+        ([0.5, -2.0, math.nan], "r must be >= 0, got -2.0"),
+        ([[0.0, 1.0], [math.inf, 2.0]], "r must be finite, got inf"),
+        (-0.1, "r must be >= 0, got -0.1"),
+        (math.nan, "r must be finite, got nan"),
+    ])
+    def test_first_bad_r_is_named(self, r, message):
+        with pytest.raises(DomainError) as excinfo:
+            rician_pdf(RicianParams(s=2.0, delta=1.0), np.asarray(r))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("s, delta, r, want", [
+        (1e300, 1.0, 1e300, 1.0 / math.sqrt(2.0 * math.pi)),
+        (1.0, 1e-160, 1.0, 1e160 / math.sqrt(2.0 * math.pi)),
+        (1.0, 1e-200, 1.0, 1e200 / math.sqrt(2.0 * math.pi)),
+        (0.0, 1.0, 1e200, 0.0),
+    ])
+    def test_extreme_parameters_keep_the_density(self, s, delta, r, want):
+        # Gaussian peaks 1 / (delta sqrt(2 pi)) where r s / delta^2 or
+        # delta^2 leave the float range, and a Rayleigh tail that underflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rician_pdf(RicianParams(s=s, delta=delta), r)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_density_past_the_float_range_is_a_domain_error(self):
+        with pytest.raises(DomainError) as excinfo:
+            rician_pdf(RicianParams(s=0.0, delta=1e-320), np.array([1.0, 1e-320]))
+        assert str(excinfo.value) == (
+            "r must keep the density in float range, got 1e-320"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.just(0.0), log_uniform()),
+        log_uniform(),
+        st.one_of(st.just(0.0), log_uniform()),
+    )
+    @example(1e300, 1.0, 1e300)
+    @example(1.0, 1e-160, 1.0)
+    @example(1.0, 1e-200, 1.0)
+    @example(0.0, 1.0, 1e200)
+    def test_finite_and_nonnegative_or_a_domain_error(self, s, delta, r):
+        params = RicianParams(s=s, delta=delta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = [rician_pdf(params, r), *rician_pdf(params, np.array([r, s]))]
+            except DomainError as exc:
+                # Only a density above the largest float: delta near 1e-308.
+                assert str(exc).startswith("r must keep the density in float range")
+                assert delta < 1e-300
+                return
+        assert all(math.isfinite(f) and f >= 0.0 for f in got)
 
 
 class TestKFactor:
