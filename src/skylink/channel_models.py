@@ -25,6 +25,7 @@ from .errors import (
     as_number,
     parse_json,
     require,
+    require_finite,
 )
 
 logger = logging.getLogger(__name__)
@@ -47,13 +48,6 @@ PLOS = {
 }
 PLOS_MODELS = tuple(PLOS)
 PL_MODELS = ("hata", "a2g_mean")
-
-
-def _require_finite(name: str, value: float) -> float:
-    v = float(value)
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -255,7 +249,7 @@ class HataParams:
 
     def __post_init__(self):
         for name in ("f_mhz", "h_b", "h_m"):
-            v = _require_finite(name, getattr(self, name))
+            v = require_finite(name, getattr(self, name))
             if v <= 0.0:
                 raise DomainError(f"{name} must be > 0, got {v}")
         ranges = (
@@ -287,7 +281,7 @@ def hata_path_loss(params: HataParams, d_km: float) -> float:
     A = 69.55 + 26.16 log10(f) - 13.82 log10(h_b) - a(h_m)
     B = 44.9 - 6.55 log10(h_b)
     """
-    d_km = _require_finite("d_km", d_km)
+    d_km = require_finite("d_km", d_km)
     if d_km <= 0.0:
         raise DomainError(f"d_km must be > 0, got {d_km}")
     a = 69.55 + 26.16 * math.log10(params.f_mhz) \
@@ -361,10 +355,10 @@ def plos_product(
     (m + 1), reproducing a variant without the per-building position
     scaling; "canonical" is the default.
     """
-    h_t = _require_finite("h_t", h_t)
-    h_r = _require_finite("h_r", h_r)
-    if not math.isfinite(r) and not (math.isinf(r) and r > 0):
-        raise DomainError(f"r must be finite or +inf, got {r!r}")
+    h_t = require_finite("h_t", h_t)
+    h_r = require_finite("h_r", h_r)
+    if r != math.inf:  # +inf is the no-LoS limit
+        r = require_finite("r", r)
     if mode not in ("canonical", "paper_literal"):
         raise ConfigurationError(f"unknown plos_product mode {mode!r}")
     if h_r < 0.0 or h_t <= h_r:
@@ -404,7 +398,7 @@ def plos_holis(env: Environment, theta_deg: float) -> float:
     returns the low-angle asymptote c2. Values outside [0, 1] (possible
     for extreme parameters) are clamped with a logged diagnostic.
     """
-    theta_deg = _require_finite("theta_deg", theta_deg)
+    theta_deg = require_finite("theta_deg", theta_deg)
     if env.c is None:
         raise ConfigurationError(
             f"environment {env.name!r} has no c parameters; "
@@ -438,7 +432,7 @@ def plos_sigmoid(env: Environment, theta_deg: float) -> float:
     Strictly increasing in theta for a, b > 0; a acts both as the curve
     coefficient and as the angle offset.
     """
-    theta_deg = _require_finite("theta_deg", theta_deg)
+    theta_deg = require_finite("theta_deg", theta_deg)
     if env.sigmoid is None:
         raise ConfigurationError(
             f"environment {env.name!r} has no sigmoid parameters; "

@@ -327,13 +327,12 @@ def _curve_rician(cfg: RunConfig, args):
     for i, k in enumerate(k_list):
         with cfg.reading("curves"):
             try:
-                kparams = fading.params_from_k(10.0 ** (k / 10.0) if in_db else k)
-            except (OverflowError, DomainError):
-                if k < 0.0 and not in_db:
-                    raise  # params_from_k names the negative K
+                k_linear = 10.0 ** (k / 10.0) if in_db else k
+            except OverflowError:
                 raise DomainError(
-                    f"rician_k[{i}] must keep K and 2 (K + 1) in float range, got {k!r}"
+                    f"rician_k[{i}] must keep K in float range, got {k!r}"
                 ) from None
+            kparams = fading.params_from_k(k_linear)  # names a negative K
             columns.append(fading.rician_pdf(kparams, grid).tolist())
         labels.append(f"K={k:g}{unit}" + (" (Rayleigh)" if kparams.s == 0.0 else ""))
     header = ["r"] + [f"pdf_K{k:g}{unit}" for k in k_list]
@@ -494,8 +493,8 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SkylinkError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (SkylinkError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import channel_models as cm
 from .errors import ConfigurationError, DomainError, SchemaError
-from .errors import as_number, as_numbers, parse_json, require
+from .errors import as_number, as_numbers, parse_json, require, require_finite
 from .fading import RicianParams, _rician_power
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
@@ -197,8 +197,7 @@ def _fading_draws_db(budget: LinkBudget, n: int):
 
 def rss_from_path_loss(budget: LinkBudget, pl_db: float, draw_db: float = 0.0) -> float:
     """Received signal strength in dBm for a path loss and fading draw."""
-    if not math.isfinite(pl_db):
-        raise DomainError(f"pl_db must be finite, got {pl_db!r}")
+    pl_db = require_finite("pl_db", pl_db)
     term = 0.0 if budget.fading.kind == "off" else draw_db
     rss = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - pl_db - term
     if not math.isfinite(rss):

@@ -9,6 +9,7 @@ latter to exit code 1.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import sys
 
@@ -99,3 +100,12 @@ def require(error: type, table: dict, values, prefix: str = "") -> None:
             RULES[term](value) for term in rule.split(" and ")
         ):
             raise error(f"{prefix}{name} must be {rule}, got {value!r}")
+
+
+def require_finite(name: str, value) -> float:
+    """float(value) once require(DomainError, {name: "finite"}) passes it; a
+    finite float returns at once, as the per-row channel functions need."""
+    if type(value) is float and math.isfinite(value):
+        return value
+    require(DomainError, {name: "finite"}, {name: value})
+    return float(value)

@@ -127,7 +127,7 @@ def params_from_k(k: float, mean_power: float = 1.0) -> RicianParams:
         DomainError, {"k": "finite and >= 0", "mean_power": "finite and > 0"}, locals()
     )
     s = math.sqrt(mean_power * k / (k + 1.0))
-    delta = math.sqrt(mean_power / (2.0 * (k + 1.0)))
+    delta = math.sqrt(mean_power / 2.0 / (k + 1.0))  # 2 (K + 1) overflows near 9e307
     return RicianParams(s=s, delta=delta)
 
 

@@ -15,9 +15,11 @@ for comparison experiments. Features and targets are min-max normalized to
 Training packs the parameters into one (K + d + 1, m) block for K outputs,
 d inputs and m hidden units: K weight rows, d center-coordinate rows and one
 span row. The step kernel reads one copy of the block and writes the other.
-Its floating-point operations and their order are the artifact contract:
-model.json and training_report.csv stay byte-identical only while a step
-evaluates exactly as the reference loop in tests/test_rbf_net.py does.
+Training, predict and the gradient check share one hidden-layer routine.
+The floating-point operations of that routine and of the step, in order,
+are the artifact contract: model.json, training_report.csv and predictions
+stay byte-identical only while they evaluate as the reference loops in
+tests/test_rbf_net.py do.
 """
 
 from __future__ import annotations
@@ -185,17 +187,12 @@ class RbfNetwork:
         return self.weights.shape[0]
 
     def _check_x(self, x: np.ndarray) -> np.ndarray:
-        """One feature vector, checked as the one-row batch predict makes of it."""
-        return _checked([x], (1, self.input_dim), "feature", DomainError)[0]
-
-    def _scaled_sq_distances(self, xn: np.ndarray) -> np.ndarray:
-        """||x - mu_j||^2 / (2 delta_j^2), one row per normalized input row."""
-        diff = xn[:, None, :] - self.centers
-        return (diff * diff).sum(axis=2) / (2.0 * self.spans * self.spans)
+        """One feature vector as the (1, d) row predict would check it as."""
+        return _checked([x], (1, self.input_dim), "feature", DomainError)
 
     def hidden_activations(self, x: np.ndarray) -> np.ndarray:
         """Gaussian unit responses z_j in (0, 1] for a normalized input."""
-        return np.exp(-self._scaled_sq_distances(self._check_x(x)[None, :]))[0]
+        return _activations(self.centers, self.spans, self._check_x(x))[2]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Normalized outputs Y_k = sum_j W_kj z_j."""
@@ -214,16 +211,17 @@ class RbfNetwork:
         for start in range(0, rows.shape[0], PREDICT_CHUNK):
             with np.errstate(over="ignore"):
                 xn = self.norm.normalize_features(rows[start:start + PREDICT_CHUNK])
-                q = self._scaled_sq_distances(xn)
-            if not np.isfinite(q).all():  # every activation would underflow to 0
-                r = int(np.argwhere(~np.isfinite(q))[0, 0])
+                _, neg_q, z = _activations(self.centers, self.spans, xn[:, None, :])
+            if not np.isfinite(neg_q).all():  # every activation underflowed to 0
+                r = int(np.argwhere(~np.isfinite(neg_q))[0, 0])
                 c = int(np.argmax(np.abs(xn[r])))
                 raise DomainError(
                     f"feature at row {start + r}, column {c} too far outside "
                     f"the training range: {rows[start + r, c]}"
                 )
-            # per-row W @ z: a batched Z @ W.T sums in another order
-            y = np.array([self.weights @ z for z in np.exp(-q)])
+            # each item is one row's (K, m) @ (m, 1) product W @ z, the BLAS call
+            # of a lone row; a stacked Z @ W.T would sum in another order
+            y = (self.weights @ z[:, :, None])[:, :, 0]
             out[start:start + len(xn)] = self.norm.denormalize_targets(y)
         return out[0] if single else out
 
@@ -305,28 +303,28 @@ def init_network(config: RbfConfig, training_inputs: np.ndarray) -> RbfNetwork:
     return RbfNetwork(centers, spans, weights, norm)
 
 
-def _forward(w, centers, spans, x, d) -> tuple:
-    """Terms (diff, -q, z, e, coef) of one sample; -q = ln z, coef_j = e @ W_:j.
+def _activations(centers, spans, x) -> tuple:
+    """Hidden-layer terms (diff, -q, z), -q = ln z: the one place z is computed.
 
+    x is one normalized input shaped (1, d) or a batch shaped (n, 1, d).
     diff is C-ordered even for the block's transposed centers: the row sums
     of an F-ordered array run in another order once d >= 8. And
     s / -(2 delta^2) equals -(s / (2 delta^2)) in every bit.
     """
     diff = np.subtract(x, centers, order="C")
-    neg_q = np.add.reduce(diff * diff, 1) / (-2.0 * spans * spans)
-    z = np.exp(neg_q)
-    e = d - w @ z
-    return diff, neg_q, z, e, e @ w
+    neg_q = np.add.reduce(diff * diff, -1) / (-2.0 * spans * spans)
+    return diff, neg_q, np.exp(neg_q)
 
 
 def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, sq: np.ndarray) -> None:
-    """Per-sample SGD over rows ``order`` of X, Y; sq[i] = e @ e before row i.
+    """Per-sample SGD over (1, d) rows ``order`` of X and rows of Y.
 
-    Works on two C-ordered copies of the packed block: a step reads one and
-    writes the other with ``out=``, then they swap. Zero-rate classes are
-    never written, so they stay exact and out of divergence blame (0 * inf
-    is nan). The current block goes back into ``net`` on exit, so after a
-    divergence ``net`` holds the last finite parameters.
+    sq[i] gets e @ e before row i's update. Works on two C-ordered copies of
+    the packed block: a step reads one and writes the other with ``out=``,
+    then they swap. Zero-rate classes are never written, so they stay exact
+    and out of divergence blame (0 * inf is nan). The current block goes back
+    into ``net`` on exit, so after a divergence ``net`` holds the last finite
+    parameters.
     """
     k, d = net.output_dim, net.input_dim
     blocks = np.empty((2, k + d + 1, net.m_hidden))
@@ -340,7 +338,9 @@ def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, sq: np.ndarray) -> Non
         for i in order:
             _, w, centers, spans = cur
             block, w1, centers1, spans1 = nxt
-            diff, neg_q, z, e, coef = _forward(w, centers, spans, X[i], Y[i])
+            diff, neg_q, z = _activations(centers, spans, X[i])
+            e = Y[i] - w @ z
+            coef = e @ w  # coef_j = sum_k e_k W_kj
             if w_rate != 0.0:
                 np.add(w, w_rate * (e[:, None] * z), out=w1)
             if tau_mu != 0.0:
@@ -420,7 +420,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     report = TrainReport()
     sq = np.empty(X.shape[0])
-    rows, targets = list(Xn), list(Yn)  # list indexing is cheaper per step
+    rows, targets = list(Xn[:, None, :]), list(Yn)  # lists index cheaper per step
     for epoch in range(config.epochs):
         order = rng.permutation(X.shape[0]).tolist()
         try:
@@ -441,11 +441,6 @@ def train(
             net.norm.normalize_targets(pv) - net.norm.normalize_targets(Yv)
         )
     return net, report
-
-
-def _objective(net: RbfNetwork, x: np.ndarray, d: np.ndarray) -> float:
-    e = d - net.forward(x)
-    return 0.5 * float(e @ e)
 
 
 # Gradient entries below this magnitude are compared absolutely at this
@@ -469,7 +464,9 @@ def gradient_check(
     x = net._check_x(x)
     d = np.asarray(d, dtype=float)
     spans = net.spans
-    diff, neg_q, z, e, coef = _forward(net.weights, net.centers, spans, x, d)
+    diff, neg_q, z = _activations(net.centers, spans, x)
+    e = d - net.weights @ z
+    coef = e @ net.weights
     g_w = -np.outer(e, z)
     g_mu = -((z / (spans * spans)) * coef)[:, None] * diff
     g_delta = (2.0 * z / spans) * neg_q * coef
@@ -478,13 +475,13 @@ def gradient_check(
     work = net.copy()
 
     def central(arr: np.ndarray, index: tuple[int, ...]) -> float:
-        orig = arr[index]
-        arr[index] = orig + epsilon
-        up = _objective(work, x, d)
-        arr[index] = orig - epsilon
-        down = _objective(work, x, d)
+        orig, sides = arr[index], []  # E = 1/2 e @ e at orig + epsilon, - epsilon
+        for step in (epsilon, -epsilon):
+            arr[index] = orig + step
+            e = d - work.weights @ _activations(work.centers, work.spans, x)[2]
+            sides.append(0.5 * float(e @ e))
         arr[index] = orig
-        return (up - down) / (2.0 * epsilon)
+        return (sides[0] - sides[1]) / (2.0 * epsilon)
 
     for analytic, arr in (
         (g_w, work.weights), (g_mu, work.centers), (g_delta, work.spans)

@@ -383,6 +383,14 @@ class TestScenarioBlock:
         assert stderr.startswith("error: row 0: r=1000000000000.0: m + 1 = ")
         assert stderr.endswith(" buildings on the path, over 10^6\n")
 
+    def test_allocation_past_any_address_space_exits_1(self, run):
+        # 10^15 float64 grid points are 8 PB: the allocation fails at once
+        grid = {"start": 100.0, "stop": 2000.0, "count": 10**15}
+        code, stdout, stderr = run({"kind": "distance_sweep", "distances_m": grid}, "generate")
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: ") and "allocate" in stderr  # numpy's text
+        assert stderr.count("\n") == 1
+
 
 class TestRunConfigWhere:
     def test_dotted_path_picks_the_key_in_its_block(self, tmp_path, env_file):
@@ -1035,13 +1043,9 @@ class TestCurves:
         assert stderr.count("\n") == 1
         assert not (tmp_path / "out" / "rician.csv").exists()
 
-    @pytest.mark.parametrize("in_db, k_list, named", [
-        (True, [3080.0], "rician_k[0]"), (False, [1e308], "rician_k[0]"),
-        (True, [10.0, 4000.0], "rician_k[1]"),
-    ], ids=["3080dB", "1e308", "4000dB"])
-    def test_extreme_k_names_its_entry(self, tmp_path, env_file, in_db, k_list, named):
+    def test_extreme_k_names_its_entry(self, tmp_path, env_file):
         cfg = base_run_config(env_file)
-        cfg["curves"].update(rician_k_db=in_db, rician_k=k_list)
+        cfg["curves"].update(rician_k_db=True, rician_k=[10.0, 4000.0])
         write_json(tmp_path / "run.json", cfg)
         lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
         line = lines.index('  "curves": {') + 1
@@ -1049,10 +1053,25 @@ class TestCurves:
             code, stdout, stderr = run_main("curves", "rician", "--config", "run.json")
         assert (code, stdout) == (2, "")
         assert stderr == (
-            f"error: run.json:{line}: curves: malformed value: {named} must keep K "
-            f"and 2 (K + 1) in float range, got {k_list[-1]!r}\n"
+            f"error: run.json:{line}: curves: malformed value: rician_k[1] must keep K "
+            "in float range, got 4000.0\n"
         )
         assert not (tmp_path / "out" / "rician.csv").exists()
+
+    @pytest.mark.parametrize("in_db, k", [(True, 3080.0), (False, 1e308)],
+                             ids=["3080dB", "1e308"])
+    def test_k_near_float_max_peak_matches_mpmath(self, tmp_path, env_file, in_db, k):
+        cfg = base_run_config(env_file)
+        cfg["curves"].update(rician_k_db=in_db, rician_k=[k])
+        write_json(tmp_path / "run.json", cfg)
+        with contextlib.chdir(tmp_path):
+            code, _, stderr = run_main("curves", "rician", "--config", "run.json")
+        assert code == 0, stderr
+        _, _, rows = read_curve_csv(tmp_path / "out" / "rician.csv")
+        got = next(row for row in rows if row[0] == 1.0)[1]
+        params = params_from_k(10.0 ** (k / 10.0) if in_db else k)
+        assert params.delta < 1e-154  # 2 (K + 1) itself is past the float range
+        assert within_rician_bound(got, rician_oracle(params.s, params.delta, 1.0))
 
     def test_large_k_peak_matches_mpmath(self, tmp_path, env_file):
         cfg = base_run_config(env_file)

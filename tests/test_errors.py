@@ -1,4 +1,5 @@
-"""errors.require: the one range check behind every value object."""
+"""errors.require: the one range check behind every value object, and its
+fast-path form for the per-row channel inputs."""
 
 from __future__ import annotations
 
@@ -7,6 +8,15 @@ import math
 import numpy as np
 import pytest
 
+from skylink import (
+    HataParams,
+    LinkBudget,
+    hata_path_loss,
+    plos_holis,
+    plos_product,
+    plos_sigmoid,
+    rss_from_path_loss,
+)
 from skylink.errors import RULES, ConfigurationError, DomainError, require
 
 
@@ -45,3 +55,33 @@ def test_first_failure_in_table_order_with_prefix():
 def test_every_table_name_must_be_present():
     with pytest.raises(KeyError):
         require(DomainError, {"tau_detla": "finite"}, {"tau_delta": 1.0})
+
+
+# Each per-row function with one numeric argument, by name, set to ``v``,
+# and a whole number that argument accepts.
+PER_ROW = {
+    "HataParams": ("f_mhz", 900, lambda env, v: hata_path_loss(HataParams(v, 50.0, 1.5), 2.0)),
+    "hata_path_loss": ("d_km", 2, lambda env, v: hata_path_loss(HataParams(900.0, 50.0, 1.5), v)),
+    "plos_sigmoid": ("theta_deg", 45, lambda env, v: plos_sigmoid(env, v)),
+    "plos_holis": ("theta_deg", 45, lambda env, v: plos_holis(env, v)),
+    "plos_product h_t": ("h_t", 100, lambda env, v: plos_product(env, v, 0.0, 100.0)),
+    "plos_product h_r": ("h_r", 2, lambda env, v: plos_product(env, 100.0, v, 100.0)),
+    "plos_product r": ("r", 500, lambda env, v: plos_product(env, 100.0, 1.5, v)),
+    "rss_from_path_loss": ("pl_db", 100, lambda env, v: rss_from_path_loss(LinkBudget(), v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "45", None, 10**400, math.nan, -math.inf])
+@pytest.mark.parametrize("function", PER_ROW)
+def test_per_row_functions_take_only_finite_numbers(function, value, urban):
+    name, _, call = PER_ROW[function]
+    with pytest.raises(DomainError) as excinfo:
+        call(urban, value)
+    assert str(excinfo.value) == f"{name} must be finite, got {value!r}"
+
+
+@pytest.mark.parametrize("kind", [int, np.float64, np.int64])
+@pytest.mark.parametrize("function", PER_ROW)
+def test_per_row_functions_read_any_real_as_its_float(function, kind, urban):
+    _, number, call = PER_ROW[function]
+    assert call(urban, kind(number)) == call(urban, float(number))

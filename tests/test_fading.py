@@ -255,6 +255,18 @@ class TestKFactor:
         assert params.s**2 + 2 * params.delta**2 == pytest.approx(2.5, rel=1e-12)
         assert k_factor(params) == pytest.approx(4.0, rel=1e-12)
 
+    def test_params_from_k_reaches_float_max(self):
+        for k in (9e307, 1e308, sys.float_info.max):  # 2 (K + 1) is past the range
+            params = params_from_k(k)
+            assert params.s == 1.0
+            assert params.delta == pytest.approx(math.sqrt(0.5 / k), rel=1e-15)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1e150), st.floats(1e-150, 1e150))  # mean_power K finite
+    def test_params_from_k_halves_first_bit_for_bit(self, k, mean_power):
+        want = math.sqrt(mean_power / (2.0 * (k + 1.0)))  # the one-division form
+        assert params_from_k(k, mean_power).delta == want
+
     def test_params_from_k_rejects_negative(self):
         with pytest.raises(DomainError):
             params_from_k(-0.5)

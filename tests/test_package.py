@@ -196,3 +196,18 @@ def test_benchmark_tracer_matches_the_source():
     assert len(spans) >= 15
     for qualname in spans:
         traced_callable(qualname)
+
+
+def test_rbf_net_evaluates_the_gaussian_units_in_one_function():
+    """Every exp in rbf_net.py lies in _activations, so training, predict and
+    the gradient check cannot drift onto separate hidden-layer formulas."""
+    tree = ast.parse((Path(skylink.__file__).parent / "rbf_net.py").read_text("utf-8"))
+    exps = {
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("exp", "expm1")
+    }
+    owners = {
+        fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        and exps & set(ast.walk(fn))
+    }
+    assert exps and owners == {"_activations"}

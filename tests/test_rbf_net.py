@@ -29,7 +29,7 @@ from skylink import (
     train,
     train_step,
 )
-from skylink.rbf_net import PREDICT_CHUNK, UPDATE_MODES
+from skylink.rbf_net import PREDICT_CHUNK, UPDATE_MODES, _activations
 
 
 def identity_norm(input_dim, output_dim=1):
@@ -198,6 +198,23 @@ class TestActivations:
         )
         assert net.forward(np.array([0.5, 0.5]))[0] == 0.0
 
+    @pytest.mark.parametrize("layout", ["C", "block view"])
+    def test_equal_the_training_step_bit_for_bit(self, layout):
+        # 9 coordinates: row sums of 8+ terms run pairwise, in another order
+        # unless diff is C-ordered for the F-ordered centers view _sgd passes
+        rng = np.random.default_rng(23)
+        net = random_net(rng, m=20, input_dim=9, output_dim=2)
+        x = rng.uniform(0.0, 1.0, size=9)
+        centers = net.centers
+        if layout == "block view":
+            block = np.concatenate([net.weights, net.centers.T, net.spans[None, :]])
+            centers = block[2:11].T
+            assert centers.flags.f_contiguous and not centers.flags.c_contiguous
+        z = _activations(centers, net.spans, x[None, :])[2]
+        assert [v.hex() for v in net.hidden_activations(x).tolist()] == [
+            v.hex() for v in z.tolist()
+        ]
+
     def test_input_dimension_enforced(self):
         net = one_unit_net()
         with pytest.raises(DomainError):
@@ -336,6 +353,17 @@ class TestGradientCheck:
         net = one_unit_net(weight=0.7, center=0.3)
         err = gradient_check(net, (np.array([0.3]), np.array([0.7])))
         assert err < 1e-6
+
+    @pytest.mark.parametrize("seed, m, dim, k, want", [
+        (21, 4, 3, 2, "0x1.5b962c66f6454p-27"),
+        (22, 6, 9, 1, "0x1.1af6667ddc000p-24"),
+    ])
+    def test_value_is_pinned(self, seed, m, dim, k, want):
+        # pinned from the code that evaluated the hidden layer by two formulas
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, m=m, input_dim=dim, output_dim=k)
+        sample = rng.uniform(size=dim), rng.uniform(size=k)
+        assert gradient_check(net, sample).hex() == want
 
     def test_epsilon_domain(self):
         net = one_unit_net()
@@ -776,10 +804,11 @@ class TestPredict:
         with pytest.raises(DomainError):
             net.predict(np.zeros((3, 5)))
 
-    @pytest.mark.parametrize("output_dim", [1, 2])
-    def test_batch_matches_row_loop_across_chunks(self, output_dim):
+    @pytest.mark.parametrize("m", [5, 8, 20])
+    @pytest.mark.parametrize("output_dim", [1, 2, 3])
+    def test_batch_matches_row_loop_across_chunks(self, output_dim, m):
         rng = np.random.default_rng(17)
-        net = random_net(rng, m=5, input_dim=3, output_dim=output_dim)
+        net = random_net(rng, m=m, input_dim=3, output_dim=output_dim)
         net.norm = NormStats(
             np.array([0.0, 10.0, -5.0]), np.array([100.0, 50.0, 5.0]),
             np.full(output_dim, -120.0), np.full(output_dim, -40.0),
