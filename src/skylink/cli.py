@@ -19,13 +19,9 @@ import os
 import re
 import sys
 
-import numpy as np
-
 from . import __version__
 from . import channel_models as cm
 from . import datagen
-from . import fading
-from . import rbf_net
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -203,6 +199,8 @@ def cmd_generate(args) -> int:
 def _train_model(
     cfg: RunConfig, dataset: datagen.Dataset
 ) -> tuple[rbf_net.RbfNetwork, rbf_net.RbfConfig, rbf_net.TrainReport]:
+    from . import rbf_net
+
     with cfg.reading("rbf"):
         rbf_cfg = rbf_net.RbfConfig(**cfg.get("rbf", {}))
     with cfg.reading("train"):  # split's rules check the fraction and the seed
@@ -220,6 +218,8 @@ def _train_model(
 
 
 def cmd_train(args) -> int:
+    from . import rbf_net
+
     cfg, out = _config_and_out(args)
     dataset = datagen.read_dataset(args.dataset)
     net, rbf_cfg, report = _train_model(cfg, dataset)
@@ -248,6 +248,8 @@ def cmd_train(args) -> int:
 
 
 def _predict_features(args) -> np.ndarray:
+    import numpy as np
+
     if args.row is not None:
         try:
             values = [float(v) for v in args.row.split(",")]
@@ -266,6 +268,10 @@ def _predict_features(args) -> np.ndarray:
 
 
 def cmd_predict(args) -> int:
+    import numpy as np
+
+    from . import rbf_net
+
     net, _ = rbf_net.load_model(args.model)
     features = _predict_features(args)
     values = net.predict(features)
@@ -284,6 +290,10 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    import numpy as np
+
+    from . import rbf_net
+
     net, _ = rbf_net.load_model(args.model)
     dataset = datagen.read_dataset(args.dataset)
     x, y = datagen.features_targets(dataset)
@@ -308,6 +318,10 @@ def _write_curve(cfg: RunConfig, out: str, stem: str, notes, header, rows) -> st
 
 
 def _curve_rician(cfg: RunConfig, args):
+    import numpy as np
+
+    from . import fading
+
     with cfg.reading("curves"):
         k_list = as_numbers("rician_k", cfg.get("curves.rician_k", [0.0, 50.0, 100.0]))
         in_db = cfg.get("curves.rician_k_db", False)
@@ -375,6 +389,8 @@ def _curve_plos_angle(cfg: RunConfig, args):
 
 
 def _curve_plos_fit(cfg: RunConfig, args):
+    import numpy as np
+
     envs, h, rx, heights = _plos_setting(cfg)
     with cfg.reading("curves"):
         theta_min_deg = as_number(cfg.get("curves.theta_min_deg", 10.0))

@@ -24,12 +24,9 @@ import math
 import os
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from . import channel_models as cm
 from .errors import ConfigurationError, DomainError, SchemaError
 from .errors import as_number, as_numbers, parse_json, require, require_finite
-from .fading import RicianParams, _rician_power
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
 
@@ -96,17 +93,23 @@ def fading_draw_db(budget: LinkBudget, index: int) -> float:
     """
     if budget.fading.kind == "off":
         return 0.0
-    return _draw_db(budget.fading, np.random.default_rng([budget.seed, index]))
+    import numpy as np
+
+    return _draw_db(budget.fading)(np.random.default_rng([budget.seed, index]))
 
 
-def _draw_db(fading: FadingSpec, rng: np.random.Generator) -> float:
-    """The dB fading term of one gaussian_shadow or rician draw from rng."""
+def _draw_db(fading: FadingSpec):
+    """The function of a Generator that draws one gaussian_shadow or rician
+    dB fading term from it; made once per dataset, not per row."""
     if fading.kind == "gaussian_shadow":
-        return fading.sigma_db * float(rng.standard_normal())
+        return lambda rng: fading.sigma_db * float(rng.standard_normal())
+    from .fading import _rician_power
+
     params = fading.rician
-    amp_sq = _rician_power(params, *rng.standard_normal(2))
     mean_power = params.s**2 + 2.0 * params.delta**2
-    return -10.0 * math.log10(amp_sq / mean_power)
+    return lambda rng: -10.0 * math.log10(
+        _rician_power(params, *rng.standard_normal(2)) / mean_power
+    )
 
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants.
@@ -153,6 +156,8 @@ def _pcg64_states(seed: int, start: int, stop: int):
     hashes the pool out. PCG64 then seeds on Python ints: state 0,
     inc = 2 seq + 1, one step, add the initial state, one step.
     """
+    import numpy as np
+
     rows = stop - start
     shifts = range(0, max(seed.bit_length(), 1), 32)  # its little-endian words
     entropy = [np.full(rows, seed >> k & _MASK32, np.uint32) for k in shifts]
@@ -187,12 +192,14 @@ def _fading_draws_db(budget: LinkBudget, n: int):
     if budget.fading.kind == "off":
         yield from itertools.repeat(0.0, n)
         return
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(0))
-    bits = rng.bit_generator
+    bits, draw_db = rng.bit_generator, _draw_db(budget.fading)
     for start in range(0, n, _SEED_CHUNK):
         for state in _pcg64_states(budget.seed, start, min(n, start + _SEED_CHUNK)):
             bits.state = state
-            yield _draw_db(budget.fading, rng)
+            yield draw_db(rng)
 
 
 def rss_from_path_loss(budget: LinkBudget, pl_db: float, draw_db: float = 0.0) -> float:
@@ -246,6 +253,8 @@ def budget_from_dict(data: dict) -> LinkBudget:
     kind = fad.get("kind", "off")
     params = {k: as_number(fad[k]) for k in FADING_KEYS.get(kind, ())}
     if kind == "rician":
+        from .fading import RicianParams
+
         spec = FadingSpec(kind, rician=RicianParams(**params))
     else:
         spec = FadingSpec(kind, **params)  # rejects an unknown kind
@@ -377,6 +386,27 @@ def _number(block: dict, key: str, default=None):
     return values[key]
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """np.linspace(start, stop, count) as a list, bit for bit on every strictly
+    increasing grid: one step, i * step + start, the last point set to stop.
+
+    One point is 0 * (stop - start) + start, as numpy makes it. Where the
+    step underflows to 0 numpy scales i / (count - 1) instead; such a grid
+    repeats a point either way.
+    """
+    try:  # whole, as an array is: a count past the address space fails at once
+        grid = [start] * count
+    except MemoryError:
+        raise MemoryError(f"cannot allocate a grid of {count} points") from None
+    delta = stop - start
+    step = delta / (count - 1) if count > 1 else delta
+    for i in range(count):
+        grid[i] = i * step + start
+    if count > 1:
+        grid[-1] = stop
+    return grid
+
+
 def scenario_layout(kind: str, block: dict) -> tuple:
     """The generator of a scenario kind and its arguments, read from a block.
 
@@ -392,8 +422,7 @@ def scenario_layout(kind: str, block: dict) -> tuple:
     if kind == "distance_sweep":
         spec = block.get("distances_m", DEFAULT_DISTANCES_M)
         if isinstance(spec, dict) and spec.keys() == {"start", "stop", "count"}:
-            grid = [_number(spec, key) for key in ("start", "stop", "count")]
-            spec = np.linspace(*grid).tolist()
+            spec = _linspace(*(_number(spec, k) for k in ("start", "stop", "count")))
         elif isinstance(spec, list):
             spec = as_numbers("distances_m", spec)
         else:
@@ -438,6 +467,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
         raise ConfigurationError(
             f"fraction {train_fraction} on {n} rows would empty one split"
         )
+    import numpy as np
+
     order = np.random.default_rng(seed).permutation(n)
     picks = (sorted(order[:n_train].tolist()), sorted(order[n_train:].tolist()))
     out = []
@@ -450,6 +481,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
 
 def features_targets(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Feature matrix (D, H, F, P) and target column (RSS) as arrays."""
+    import numpy as np
+
     x = np.array(
         [[s.d_m, s.h_m, s.f_mhz, s.pl_db] for s in dataset.samples], dtype=float
     )

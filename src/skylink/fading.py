@@ -126,7 +126,10 @@ def params_from_k(k: float, mean_power: float = 1.0) -> RicianParams:
     require(
         DomainError, {"k": "finite and >= 0", "mean_power": "finite and > 0"}, locals()
     )
-    s = math.sqrt(mean_power * k / (k + 1.0))
+    s_sq = mean_power * k / (k + 1.0)
+    if math.isinf(s_sq):  # mean_power K overflowed; dividing first rounds otherwise
+        s_sq = mean_power * (k / (k + 1.0))
+    s = math.sqrt(s_sq)
     delta = math.sqrt(mean_power / 2.0 / (k + 1.0))  # 2 (K + 1) overflows near 9e307
     return RicianParams(s=s, delta=delta)
 
@@ -141,7 +144,11 @@ def rician_pdf_kdb(k_db: float, s: float, r: float) -> float:
         "k_db": "finite", "s": "finite and > 0", "r": "finite and >= 0",
     }, locals())
     try:
-        params = RicianParams(s, s / math.sqrt(2.0 * 10.0 ** (k_db / 10.0)))
+        k = 10.0 ** (k_db / 10.0)
+        delta = s / math.sqrt(2.0 * k)
+        if math.isinf(2.0 * k):  # K past ~9e307: split the root, delta stays a float
+            delta = s / math.sqrt(2.0) / math.sqrt(k)
+        params = RicianParams(s, delta)
     except (ArithmeticError, DomainError):
         raise DomainError(
             f"k_db must keep K and s / sqrt(2 K) in float range, got {k_db!r}"

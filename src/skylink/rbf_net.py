@@ -192,7 +192,11 @@ class RbfNetwork:
 
     def hidden_activations(self, x: np.ndarray) -> np.ndarray:
         """Gaussian unit responses z_j in (0, 1] for a normalized input."""
-        return _activations(self.centers, self.spans, self._check_x(x))[2]
+        x = self._check_x(x)
+        with np.errstate(over="ignore"):
+            _, neg_q, z = _activations(self.centers, self.spans, x)
+        _check_reach(neg_q[None], x, x)
+        return z
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Normalized outputs Y_k = sum_j W_kj z_j."""
@@ -212,13 +216,7 @@ class RbfNetwork:
             with np.errstate(over="ignore"):
                 xn = self.norm.normalize_features(rows[start:start + PREDICT_CHUNK])
                 _, neg_q, z = _activations(self.centers, self.spans, xn[:, None, :])
-            if not np.isfinite(neg_q).all():  # every activation underflowed to 0
-                r = int(np.argwhere(~np.isfinite(neg_q))[0, 0])
-                c = int(np.argmax(np.abs(xn[r])))
-                raise DomainError(
-                    f"feature at row {start + r}, column {c} too far outside "
-                    f"the training range: {rows[start + r, c]}"
-                )
+            _check_reach(neg_q, xn, rows, start)
             # each item is one row's (K, m) @ (m, 1) product W @ z, the BLAS call
             # of a lone row; a stacked Z @ W.T would sum in another order
             y = (self.weights @ z[:, :, None])[:, :, 0]
@@ -301,6 +299,22 @@ def init_network(config: RbfConfig, training_inputs: np.ndarray) -> RbfNetwork:
         weights[0, 0] = 1.0
         weights[1, 0] = 1.0
     return RbfNetwork(centers, spans, weights, norm)
+
+
+def _check_reach(neg_q, xn, raw, start: int = 0) -> None:
+    """Raise a DomainError at the first row of -q (rows, m) that is not finite.
+
+    That row's squared distance overflowed, so every activation is 0. xn
+    holds the normalized rows, raw the rows as given from row ``start`` on;
+    the error names the row, its column farthest out in xn and its raw value.
+    """
+    if not np.isfinite(neg_q).all():
+        r = int(np.argwhere(~np.isfinite(neg_q))[0, 0])
+        c = int(np.argmax(np.abs(xn[r])))
+        raise DomainError(
+            f"feature at row {start + r}, column {c} too far outside "
+            f"the training range: {raw[start + r, c]}"
+        )
 
 
 def _activations(centers, spans, x) -> tuple:

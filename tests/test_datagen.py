@@ -847,6 +847,30 @@ class TestScenarioLayout:
             **shared, "altitudes": [5.0, 6.0], "r_ground": 70.0,
         }
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 300))
+    @example(-0.0, 0.0, 1)
+    @example(0.0, -0.0, 1)
+    @example(-0.0, 5e-324, 2)
+    @example(5e-324, 1e-323, 2)
+    @example(-1e-323, 2.5e-323, 8)
+    @example(2.2250738585072014e-308, 2.2250738585072014e-307, 3)
+    @example(100.0, 2000.0, 200)
+    @example(-1.7976931348623157e308, 1.7976931348623157e308, 2)
+    def test_grid_is_np_linspace_bit_for_bit(self, x, y, count):
+        """The {start, stop, count} grid is built without numpy; every
+        strictly increasing one equals np.linspace's in every bit."""
+        start, stop = sorted((x, y)) if count > 1 else (x, y)
+        grid = {"start": start, "stop": stop, "count": count}
+        got = scenario_layout("distance_sweep", {"distances_m": grid})[1]["distances"]
+        with np.errstate(all="ignore"):  # stop - start may overflow
+            want = np.linspace(start, stop, count).tolist()
+        if all(b > a for a, b in zip(want, want[1:])):
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+        else:  # a step that underflows to 0 or overflows: neither increases
+            assert not all(b > a for a, b in zip(got, got[1:]))
+
     @pytest.mark.parametrize("kind, block, message", [
         ("orbit", {}, "unknown scenario kind 'orbit'"),
         (None, {}, "unknown scenario kind None"),

@@ -9,7 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import scipy.integrate
 import scipy.special
 import scipy.stats
@@ -267,6 +267,28 @@ class TestKFactor:
         want = math.sqrt(mean_power / (2.0 * (k + 1.0)))  # the one-division form
         assert params_from_k(k, mean_power).delta == want
 
+    @pytest.mark.parametrize("k, mean_power", [
+        (1e308, 2.0), (sys.float_info.max, 2.0), (9e307, 3.0), (1e300, 1e10),
+    ])
+    def test_params_from_k_past_the_overflow_matches_mpmath(self, k, mean_power):
+        params = params_from_k(k, mean_power)
+        with mpmath.workdps(50):
+            big_k, power = mpmath.mpf(k), mpmath.mpf(mean_power)
+            want_s = mpmath.sqrt(power * big_k / (big_k + 1))
+            want_delta = mpmath.sqrt(power / (2 * (big_k + 1)))
+            assert abs(params.s - want_s) <= EPS * want_s
+            assert abs(params.delta - want_delta) <= 2 * EPS * want_delta
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, sys.float_info.max), st.floats(5e-324, sys.float_info.max))
+    @example(8.9e307, 2.0)
+    @example(1.0, sys.float_info.max)
+    def test_params_from_k_keeps_s_bit_for_bit_below_the_overflow(self, k, mean_power):
+        """s is sqrt(mean_power K / (K + 1)) wherever mean_power K is a float,
+        so rician.csv keeps its bytes."""
+        assume(math.isfinite(mean_power * k) and mean_power / 2.0 / (k + 1.0) > 0.0)
+        assert params_from_k(k, mean_power).s == math.sqrt(mean_power * k / (k + 1.0))
+
     def test_params_from_k_rejects_negative(self):
         with pytest.raises(DomainError):
             params_from_k(-0.5)
@@ -301,7 +323,16 @@ class TestKdbParameterization:
         with pytest.raises(DomainError):
             rician_pdf_kdb(3.0, -1.0, 1.0)
 
-    @pytest.mark.parametrize("k_db", [-4000.0, 4000.0, 3080.0])
+    @pytest.mark.parametrize("k_db", [3079.6, 3080.0, 3082.5])
+    def test_k_past_half_the_float_range_matches_mpmath(self, k_db):
+        # 2 K overflows here, while K and delta = s / sqrt(2 K) are floats
+        k = 10.0 ** (k_db / 10.0)
+        with mpmath.workdps(50):
+            delta = 1 / mpmath.sqrt(2 * mpmath.mpf(k))
+        got, want = rician_pdf_kdb(k_db, 1.0, 1.0), rician_oracle(1.0, delta, 1.0)
+        assert within_rician_bound(got, want), (k_db, got, want)
+
+    @pytest.mark.parametrize("k_db", [-4000.0, 4000.0, 3083.0])
     def test_k_factor_past_the_float_range_names_k_db(self, k_db):
         with pytest.raises(DomainError) as excinfo:
             rician_pdf_kdb(k_db, 1.0, 1.0)

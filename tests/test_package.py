@@ -7,6 +7,8 @@ import ast
 import importlib
 import inspect
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -15,6 +17,8 @@ import pytest
 import skylink
 from skylink import cli
 from skylink.errors import RULES
+
+from conftest import base_run_config, cli_env, write_json
 
 SOURCES = sorted(
     p for p in Path(skylink.__file__).resolve().parent.glob("*.py")
@@ -51,6 +55,82 @@ def test_every_import_is_used(path):
         name: line for name, line in imported_names(tree).items() if name not in used
     }
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def module_level_imports(tree: ast.Module) -> set[str]:
+    """Top-level names of the modules an import outside every function loads;
+    a skylink module by its own name (``from .fading import x``: fading)."""
+    found, nodes = set(), list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module is not None:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):  # from . import fading
+            found.update(alias.name for alias in node.names)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_only_fading_and_rbf_net_import_numpy_at_module_level():
+    """Anywhere else, a module-level numpy import, or one of fading or rbf_net,
+    would put ~0.13 s back into the start of every command."""
+    imports = {
+        path.stem: module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        for path in Path(skylink.__file__).parent.glob("*.py")
+    }
+    direct = {name for name, found in imports.items() if "numpy" in found}
+    assert direct == {"fading", "rbf_net"}
+    loading = {  # the package and each module that reaches numpy through another
+        name for name, found in imports.items() if found & {"fading", "rbf_net"}
+    }
+    assert not loading - direct, loading
+
+
+# Runs one CLI command in this process; prints its exit code and whether numpy
+# got imported.
+PROBE = """
+import sys
+from skylink import cli
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:  # --version
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, fading, numpy_loaded", [
+    (["--version"], "off", False),
+    (["generate"], "off", False),
+    (["curves", "plos_angle"], "off", False),
+    (["generate"], "rician", True),
+    (["curves", "plos_fit"], "off", True),
+])
+def test_numpy_loads_only_for_commands_that_use_it(
+    tmp_path, env_file, argv, fading, numpy_loaded
+):
+    """The scalar commands start without numpy; the ones that call it load it
+    where they use it, and still work."""
+    cfg = base_run_config(env_file)  # a {start, stop, count} distance sweep
+    cfg["budget"]["fading"] = (
+        {"kind": "rician", "s": 1.0, "delta": 0.5} if fading == "rician"
+        else {"kind": "off"}
+    )
+    write_json(tmp_path / "run.json", cfg)
+    if argv != ["--version"]:
+        argv = [*argv, "--config", "run.json"]
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, *argv],
+        capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
+    )
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == f"0 {numpy_loaded}"
+    if argv[0] == "generate":
+        assert lines[0] == f"wrote 60 rows to {Path('out', 'dataset.csv')}"
 
 
 def rule_tables(tree: ast.Module) -> list[ast.Dict]:

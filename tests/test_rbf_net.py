@@ -931,6 +931,20 @@ class TestNonFiniteInput:
             net.forward([0.1, 0.2])
         assert str(excinfo.value) == "feature array must have shape (1, 1), got (1, 2)"
 
+    def test_one_vector_far_outside_raises_predicts_domain_error(self):
+        # its squared distance overflows; no RuntimeWarning and no z = 0
+        net = one_unit_net()
+        message = (
+            "feature at row 0, column 0 too far outside the training range: 1e+200"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (net.hidden_activations, net.forward, net.predict):
+                with pytest.raises(DomainError) as excinfo:
+                    call([1e200])
+                assert str(excinfo.value) == message
+            assert net.hidden_activations([1e150]).tolist() == [0.0]  # q is finite
+
     def test_predict_rejects_overflowing_distance(self):
         X, Y = toy_problem()
         net, _ = train(init_network(self.config(), X), X, Y, self.config())
