@@ -565,12 +565,15 @@ def _channel_rows(
             return by_count[key]
 
         plos_fn = product_by_count
+    if pl_model == "a2g_mean":
+        try:
+            k = 4.0 * math.pi * A2GParams(f_c=f_mhz * 1e6, env=env).f_c
+        except DomainError as exc:  # a config's value, not a row's
+            raise DomainError(f"f_mhz={f_mhz!r}: {exc}") from None
     eps_los, eps_nlos = env.eps_los_db, env.eps_nlos_db
     pl_out, plos_out = [], []
     i = 0
     try:
-        if pl_model == "a2g_mean":
-            k = 4.0 * math.pi * A2GParams(f_c=f_mhz * 1e6, env=env).f_c
         for i, (h, r) in enumerate(geometries):
             if not (0.0 <= h < math.inf and 0.0 <= r < math.inf) or h == r == 0.0:
                 LinkGeometry(h=h, r=r)  # raises the DomainError naming the fault

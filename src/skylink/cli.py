@@ -47,6 +47,18 @@ FEATURE_HEADER = datagen.CSV_HEADER[2:6]
 
 _MISSING = object()
 
+# The keys of a run config and of its train and curves blocks; the others
+# take theirs from datagen and rbf_net.
+TOP_KEYS = (
+    "environment_file", "environment", "plos_model", "pl_model", "out_dir",
+    "rbf", "budget", "scenario", "train", "curves",
+)
+TRAIN_KEYS = ("train_fraction", "split_seed")
+CURVE_KEYS = (
+    "rician_k", "rician_k_db", "rician_r_max", "rician_points", "uav_height_m",
+    "rx_height_m", "theta_min_deg",
+)
+
 
 def _setup_logging() -> None:
     raw = os.environ.get("SKYLINK_LOG", "warn").lower()
@@ -60,9 +72,9 @@ def _setup_logging() -> None:
 class RunConfig:
     """Parsed run config with path/line-aware error reporting.
 
-    A seed is written to budget.seed, rbf.seed and train.split_seed before
-    any reader or the digest sees the data; a block that is no object is
-    left to its reader.
+    Readers get top-level values and whole blocks. A seed is written to
+    budget.seed, rbf.seed and train.split_seed before any reader or the
+    digest sees the data; a block that is no object is left to its reader.
     """
 
     def __init__(self, path: str, seed: int | None = None):
@@ -72,6 +84,10 @@ class RunConfig:
         self.data = parse_json(self.text, path)
         if not isinstance(self.data, dict):
             raise SchemaError(f"{path}: run config must be a JSON object")
+        unknown = sorted(self.data.keys() - set(TOP_KEYS))
+        if unknown:
+            where = self.where(unknown[0])
+            raise ConfigurationError(f"{where}: unknown keys {unknown}")
         if seed is not None:
             require(ConfigurationError, {"--seed": "int and >= 0"}, {"--seed": seed})
             for block in ("budget", "rbf", "train"):
@@ -79,53 +95,47 @@ class RunConfig:
                 if isinstance(node, dict):
                     node["split_seed" if block == "train" else "seed"] = seed
 
-    def where(self, dotted: str) -> str:
-        """path:line of the key ``dotted``, or of its deepest parent present.
+    def where(self, key: str) -> str:
+        """path:line of the top-level ``key``, or the bare path if it is absent.
 
-        Walks the objects along the path member by member and skips each
-        value whole, so a same-named key elsewhere never matches.
+        Walks the root object member by member and skips each value whole,
+        so a same-named key inside a block never matches.
         """
-        text, line = self.text, None
+        text = self.text
         decode = json.JSONDecoder().raw_decode
         skip = re.compile(r"[\s,:]*").match  # the text is valid JSON
-        pos = skip(text).end()
-        for part in dotted.split("."):
-            if not text.startswith("{", pos):
-                break
-            pos = skip(text, pos + 1).end()
-            while text.startswith('"', pos):
-                key, end = decode(text, pos)
-                if key == part:
-                    line = text.count("\n", 0, pos) + 1
-                    break
-                pos = skip(text, decode(text, skip(text, end).end())[1]).end()
-            else:
-                break
-            pos = skip(text, end).end()
-        return f"{self.path}:{line}" if line else self.path
+        pos = skip(text, skip(text).end() + 1).end()  # past the root's "{"
+        while text.startswith('"', pos):
+            name, end = decode(text, pos)
+            if name == key:
+                line = text.count("\n", 0, pos) + 1
+                return f"{self.path}:{line}"
+            pos = skip(text, decode(text, skip(text, end).end())[1]).end()
+        return self.path
 
-    def get(self, dotted: str, default=_MISSING):
-        """Value at ``dotted``; a block on the path that is no object fails."""
-        node, parts = self.data, dotted.split(".")
-        for i, part in enumerate(parts):
-            if not isinstance(node, dict):  # the root is checked on load
-                block = ".".join(parts[:i])
-                raise self.fail(block, f"malformed value: {node!r} is not an object")
-            if part not in node:
-                if default is not _MISSING:
-                    return default
-                raise ConfigurationError(
-                    f"{self.path}: missing required config key {dotted!r}"
-                )
-            node = node[part]
+    def get(self, key: str, default=_MISSING):
+        """Top-level value of ``key``; a missing key without a default fails."""
+        if key in self.data or default is not _MISSING:
+            return self.data.get(key, default)
+        raise ConfigurationError(f"{self.path}: missing required config key {key!r}")
+
+    def block(self, key: str, keys=None) -> dict:
+        """The object under ``key``, {} if absent; a value that is no object,
+        or a member outside ``keys`` (when given), fails."""
+        node = self.get(key, {})
+        if not isinstance(node, dict):
+            raise self.fail(key, f"malformed value: {node!r} is not an object")
+        unknown = sorted(set(node) - set(keys)) if keys is not None else []
+        if unknown:
+            raise self.fail(key, f"malformed value: unknown keys {unknown}")
         return node
 
-    def fail(self, dotted: str, message: str) -> ConfigurationError:
-        return ConfigurationError(f"{self.where(dotted)}: {dotted}: {message}")
+    def fail(self, key: str, message: str) -> ConfigurationError:
+        return ConfigurationError(f"{self.where(key)}: {key}: {message}")
 
     @contextlib.contextmanager
-    def reading(self, dotted: str):
-        """Report a bad value under ``dotted``; errors located in this file pass."""
+    def reading(self, key: str):
+        """Report a bad value under ``key``; errors located in this file pass."""
         try:
             yield
         except (
@@ -133,7 +143,7 @@ class RunConfig:
         ) as exc:
             if str(exc).startswith(f"{self.path}:"):  # located by fail() or get()
                 raise
-            raise self.fail(dotted, f"malformed value: {exc}") from exc
+            raise self.fail(key, f"malformed value: {exc}") from exc
 
     def sha256(self) -> str:
         canonical = json.dumps(
@@ -165,10 +175,10 @@ def _scenario_dataset(cfg: RunConfig, kind: str | None = None) -> datagen.Datase
     name = cfg.get("environment")
     if not isinstance(name, str) or name not in envs:
         raise cfg.fail("environment", f"{name!r} not defined (file has {sorted(envs)})")
-    with cfg.reading("budget"):
-        budget = datagen.budget_from_dict(cfg.get("budget", {}))
+    with cfg.reading("budget"):  # budget_from_dict rejects unknown keys
+        budget = datagen.budget_from_dict(cfg.block("budget"))
     with cfg.reading("scenario"):
-        block = cfg.get("scenario", {})
+        block = cfg.block("scenario", datagen.SCENARIO_KEYS)
         generate, args = datagen.scenario_layout(kind or block.get("kind"), block)
     return generate(
         envs[name], budget=budget, pl_model=cfg.get("pl_model", "a2g_mean"),
@@ -202,11 +212,13 @@ def _train_model(
     from . import rbf_net
 
     with cfg.reading("rbf"):
-        rbf_cfg = rbf_net.RbfConfig(**cfg.get("rbf", {}))
+        keys = [f.name for f in dataclasses.fields(rbf_net.RbfConfig)]
+        rbf_cfg = rbf_net.RbfConfig(**cfg.block("rbf", keys))
     with cfg.reading("train"):  # split's rules check the fraction and the seed
+        train = cfg.block("train", TRAIN_KEYS)
         train_ds, test_ds = datagen.split(
-            dataset, as_number(cfg.get("train.train_fraction", 0.8)),
-            cfg.get("train.split_seed", 13),
+            dataset, as_number(train.get("train_fraction", 0.8)),
+            train.get("split_seed", 13),
         )
     x_train, y_train = datagen.features_targets(train_ds)
     x_test, y_test = datagen.features_targets(test_ds)
@@ -303,7 +315,11 @@ def cmd_eval(args) -> int:
             f"outputs) do not match the dataset"
         )
     err = net.predict(x).reshape(y.shape) - y
-    print(f"rmse_db={_fmt(float(np.sqrt(np.mean(err ** 2))))}")
+    with np.errstate(over="ignore"):
+        rmse = float(np.sqrt(np.mean(err ** 2)))
+    if not np.isfinite(rmse):  # a finite rmse bounds the other two metrics
+        raise DomainError(f"rmse_db is {rmse}: the errors leave the float range")
+    print(f"rmse_db={_fmt(rmse)}")
     print(f"mae_db={_fmt(float(np.mean(np.abs(err))))}")
     print(f"max_abs_error_db={_fmt(float(np.max(np.abs(err))))}")
     return 0
@@ -323,10 +339,11 @@ def _curve_rician(cfg: RunConfig, args):
     from . import fading
 
     with cfg.reading("curves"):
-        k_list = as_numbers("rician_k", cfg.get("curves.rician_k", [0.0, 50.0, 100.0]))
-        in_db = cfg.get("curves.rician_k_db", False)
-        rician_r_max = as_number(cfg.get("curves.rician_r_max", 3.0))
-        rician_points = cfg.get("curves.rician_points", 301)
+        curves = cfg.block("curves", CURVE_KEYS)
+        k_list = as_numbers("rician_k", curves.get("rician_k", [0.0, 50.0, 100.0]))
+        in_db = curves.get("rician_k_db", False)
+        rician_r_max = as_number(curves.get("rician_r_max", 3.0))
+        rician_points = curves.get("rician_points", 301)
         rules = {"rician_r_max": "finite and > 0", "rician_points": "int"}
         require(ConfigurationError, rules, locals())
         if not isinstance(in_db, bool):
@@ -362,8 +379,9 @@ def _plos_setting(cfg: RunConfig):
     """Environments, UAV and receiver heights of the P_LoS curves, and a note."""
     envs = _load_environments(cfg)
     with cfg.reading("curves"):
-        h = as_number(cfg.get("curves.uav_height_m", 100.0))
-        rx = as_number(cfg.get("curves.rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
+        curves = cfg.block("curves", CURVE_KEYS)
+        h = as_number(curves.get("uav_height_m", 100.0))
+        rx = as_number(curves.get("rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
         rules = {"uav_height_m": "finite and > 0", "rx_height_m": "finite"}
         require(ConfigurationError, rules, {"uav_height_m": h, "rx_height_m": rx})
     return envs, h, rx, f"uav_height_m={_fmt(h)} rx_height_m={_fmt(rx)}"
@@ -393,7 +411,8 @@ def _curve_plos_fit(cfg: RunConfig, args):
 
     envs, h, rx, heights = _plos_setting(cfg)
     with cfg.reading("curves"):
-        theta_min_deg = as_number(cfg.get("curves.theta_min_deg", 10.0))
+        curves = cfg.block("curves", CURVE_KEYS)
+        theta_min_deg = as_number(curves.get("theta_min_deg", 10.0))
         require(ConfigurationError, {"theta_min_deg": "in [0, 90]"}, locals())
     thetas = [float(t) for t in range(int(theta_min_deg), 91)]  # whole degrees
     for env in envs.values():

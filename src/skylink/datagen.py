@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 
 from . import channel_models as cm
@@ -55,6 +56,12 @@ class FadingSpec:
             )
         if self.kind == "rician" and self.rician is None:
             raise ConfigurationError("rician fading requires RicianParams")
+        power = _mean_power(self.rician) if self.kind == "rician" else 1.0
+        if not sys.float_info.min <= power <= sys.float_info.max:  # draws divide by it
+            raise ConfigurationError(
+                "fading: rician s^2 + 2 delta^2 must be a positive normal float, "
+                f"got {power!r}"
+            )
         require(ConfigurationError, {"sigma_db": "finite and >= 0"}, vars(self))
 
 
@@ -98,18 +105,34 @@ def fading_draw_db(budget: LinkBudget, index: int) -> float:
     return _draw_db(budget.fading)(np.random.default_rng([budget.seed, index]))
 
 
+def _mean_power(params: RicianParams) -> float:
+    """Rician mean power s^2 + 2 delta^2; inf where it leaves the float range."""
+    try:
+        return params.s**2 + 2.0 * params.delta**2
+    except OverflowError:
+        return math.inf
+
+
 def _draw_db(fading: FadingSpec):
     """The function of a Generator that draws one gaussian_shadow or rician
-    dB fading term from it; made once per dataset, not per row."""
+    dB fading term from it; made once per dataset, not per row. A rician
+    power past the float range draws -inf, one that underflows to 0 inf."""
     if fading.kind == "gaussian_shadow":
         return lambda rng: fading.sigma_db * float(rng.standard_normal())
     from .fading import _rician_power
 
-    params = fading.rician
-    mean_power = params.s**2 + 2.0 * params.delta**2
-    return lambda rng: -10.0 * math.log10(
-        _rician_power(params, *rng.standard_normal(2)) / mean_power
-    )
+    params, mean_power = fading.rician, _mean_power(fading.rician)
+
+    def draw(rng) -> float:
+        g1, g2 = rng.standard_normal(2).tolist()  # floats: overflow raises, not warns
+        try:
+            return -10.0 * math.log10(_rician_power(params, g1, g2) / mean_power)
+        except OverflowError:
+            return -math.inf
+        except ValueError:  # log10 of a power that underflowed to 0
+            return math.inf
+
+    return draw
 
 
 # numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants.
@@ -236,12 +259,10 @@ class Dataset:
 
 def _budget_to_dict(budget: LinkBudget) -> dict:
     """JSON form of a budget; keys in field order, the sidecar's key order."""
-    fading: dict = {"kind": budget.fading.kind}
-    if budget.fading.kind == "rician":
-        fading.update(vars(budget.fading.rician))
-    elif budget.fading.kind == "gaussian_shadow":
-        fading["sigma_db"] = budget.fading.sigma_db
-    return {**vars(budget), "fading": fading}
+    fading = budget.fading
+    values = {**vars(fading), **vars(fading.rician or fading)}  # rician: s, delta
+    keys = ("kind", *FADING_KEYS[fading.kind])
+    return {**vars(budget), "fading": {k: values[k] for k in keys}}
 
 
 def budget_from_dict(data: dict) -> LinkBudget:
@@ -370,6 +391,11 @@ def gen_altitude_waypoints(
     )
 
 
+# The keys of a run config's scenario block, both kinds'; a sidecar has more.
+SCENARIO_KEYS = (
+    "kind", "f_mhz", "rx_height_m", "h_m", "distances_m", "altitudes_m", "r_ground_m",
+)
+
 # Rules of the numbers of a scenario block, by key; list entries must be finite.
 _LAYOUT_RULES = {
     "f_mhz": "finite and > 0", "rx_height_m": "finite and >= 0",
@@ -422,7 +448,12 @@ def scenario_layout(kind: str, block: dict) -> tuple:
     if kind == "distance_sweep":
         spec = block.get("distances_m", DEFAULT_DISTANCES_M)
         if isinstance(spec, dict) and spec.keys() == {"start", "stop", "count"}:
-            spec = _linspace(*(_number(spec, k) for k in ("start", "stop", "count")))
+            start, stop, count = (_number(spec, k) for k in ("start", "stop", "count"))
+            if math.isinf(stop - start):
+                raise ConfigurationError(
+                    f"distances_m stop - start must be finite, got {stop!r} - {start!r}"
+                )
+            spec = _linspace(start, stop, count)
         elif isinstance(spec, list):
             spec = as_numbers("distances_m", spec)
         else:

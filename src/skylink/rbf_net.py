@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def _minmax_stats(data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     mins = data.min(axis=0).astype(float)
     maxs = data.max(axis=0).astype(float)
-    degenerate = maxs - mins <= 0.0
+    degenerate = maxs <= mins
     mins[degenerate] -= 0.5
     maxs[degenerate] += 0.5
     return mins, maxs
@@ -134,6 +134,9 @@ class NormStats:
             high = _checked(getattr(self, hi), low.shape, hi, ConfigurationError)
             setattr(self, lo, low)
             setattr(self, hi, high)
+            with np.errstate(over="ignore"):
+                if np.isposinf(high - low).any():
+                    raise ConfigurationError(f"{hi} - {lo} must be finite")
         if not (np.all(self.x_min < self.x_max) and np.all(self.y_min < self.y_max)):
             raise ConfigurationError("normalization stats require min < max")
 
@@ -212,22 +215,20 @@ class RbfNetwork:
         batch = [raw_features] if single else raw_features
         rows = _checked(batch, (None, self.input_dim), "feature", DomainError)
         out = np.empty((rows.shape[0], self.output_dim))
-        for start in range(0, rows.shape[0], PREDICT_CHUNK):
-            with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # out is checked whole
+            for start in range(0, rows.shape[0], PREDICT_CHUNK):
                 xn = self.norm.normalize_features(rows[start:start + PREDICT_CHUNK])
                 _, neg_q, z = _activations(self.centers, self.spans, xn[:, None, :])
-            _check_reach(neg_q, xn, rows, start)
-            # each item is one row's (K, m) @ (m, 1) product W @ z, the BLAS call
-            # of a lone row; a stacked Z @ W.T would sum in another order
-            y = (self.weights @ z[:, :, None])[:, :, 0]
-            out[start:start + len(xn)] = self.norm.denormalize_targets(y)
+                _check_reach(neg_q, xn, rows, start)
+                # each item is one row's (K, m) @ (m, 1) product W @ z, the BLAS
+                # call of a lone row; a stacked Z @ W.T would sum in another order
+                y = (self.weights @ z[:, :, None])[:, :, 0]
+                out[start:start + len(xn)] = self.norm.denormalize_targets(y)
+        _checked(out, out.shape, "prediction", DomainError)
         return out[0] if single else out
 
     def copy(self) -> "RbfNetwork":
-        norm = NormStats(
-            self.norm.x_min.copy(), self.norm.x_max.copy(),
-            self.norm.y_min.copy(), self.norm.y_max.copy(),
-        )
+        norm = NormStats(**{k: v.copy() for k, v in vars(self.norm).items()})
         # the constructor copies the parameter arrays
         return RbfNetwork(self.centers, self.spans, self.weights, norm)
 
@@ -427,7 +428,7 @@ def train(
         Yv = _checked(validation[1], shape, "validation target", ConfigurationError)
 
     y_min, y_max = _minmax_stats(Y)
-    net.norm.y_min, net.norm.y_max = y_min, y_max
+    net.norm = replace(net.norm, y_min=y_min, y_max=y_max)  # checks the span
     Xn = net.norm.normalize_features(X)
     Yn = net.norm.normalize_targets(Y)
 
@@ -517,12 +518,7 @@ def save_model(path: str, net: RbfNetwork, config: RbfConfig) -> None:
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
         "config": asdict(config),  # field order is the key order
-        "norm_stats": {
-            "x_min": net.norm.x_min.tolist(),
-            "x_max": net.norm.x_max.tolist(),
-            "y_min": net.norm.y_min.tolist(),
-            "y_max": net.norm.y_max.tolist(),
-        },
+        "norm_stats": {k: v.tolist() for k, v in vars(net.norm).items()},
         "centers": net.centers.tolist(),
         "spans": net.spans.tolist(),
         "weights": net.weights.tolist(),
@@ -547,9 +543,8 @@ def load_model(path: str) -> tuple[RbfNetwork, RbfConfig]:
         raise SchemaError(f"{path}: unsupported format_version {version!r}")
     try:
         config = RbfConfig(**doc["config"])
-        stats = doc["norm_stats"]
-        norm = NormStats(stats["x_min"], stats["x_max"], stats["y_min"], stats["y_max"])
+        norm = NormStats(**doc["norm_stats"])
         net = RbfNetwork(doc["centers"], doc["spans"], doc["weights"], norm)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:  # the keys are checked above
         raise SchemaError(f"{path}: malformed model document: {exc}") from exc
     return net, config

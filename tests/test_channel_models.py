@@ -256,6 +256,28 @@ class TestEnvironmentConfig:
                 eps_los_db=1.0, eps_nlos_db=20.0,
             )
 
+    @pytest.mark.parametrize("name, value, count", [
+        ("c", (1.0, 0.0, 15.0, 12.0), 5), ("sigmoid", (9.61,), 2),
+    ])
+    def test_parameter_tuple_of_the_wrong_length_rejected(self, name, value, count):
+        with pytest.raises(ConfigurationError) as excinfo:
+            Environment(
+                name="x", alpha=0.3, beta=500.0, gamma=15.0,
+                eps_los_db=1.0, eps_nlos_db=20.0, **{name: value},
+            )
+        assert str(excinfo.value) == f"environment 'x': {name} must have {count} entries"
+
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "{path}: expected a JSON array of environments"),
+        ("[1]", "{path}: entry 0: not an object: 1"),
+    ], ids=["not_an_array", "entry_not_an_object"])
+    def test_load_rejects_a_file_of_the_wrong_shape(self, tmp_path, text, message):
+        path = tmp_path / "envs.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            load_environments(path)
+        assert str(excinfo.value) == message.format(path=path)
+
     def test_load_round_trip(self, env_file):
         envs = load_environments(env_file)
         assert set(envs) == {"suburban", "urban", "dense-urban"}

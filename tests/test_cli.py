@@ -144,6 +144,66 @@ class TestGenerate:
         assert stderr == "error: row 0: rss_dbm must be finite, got inf\n"
         assert not (tmp_path / "out" / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("s, delta, power", [
+        (1e300, 1.0, math.inf), (1.0, 1e160, math.inf),
+        (0.0, 3e-162, 2e-323), (0.0, 1e-200, 0.0),
+    ], ids=["s_overflows", "delta_overflows", "subnormal", "underflows"])
+    def test_rician_mean_power_must_be_a_normal_float(
+        self, tmp_path, env_file, s, delta, power
+    ):
+        cfg = base_run_config(env_file)
+        cfg["budget"]["fading"] = {"kind": "rician", "s": s, "delta": delta}
+        write_json(tmp_path / "run.json", cfg)
+        lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+        line = lines.index('  "budget": {') + 1
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("generate", "--config", "run.json")
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            f"error: run.json:{line}: budget: malformed value: fading: rician "
+            f"s^2 + 2 delta^2 must be a positive normal float, got {power!r}\n"
+        )
+
+    @pytest.mark.parametrize("spec, power, message", [
+        ({"kind": "rician", "s": 1.3e154, "delta": 1e153}, None, "row 1: rss_dbm must "
+         "be finite, got inf"),  # the first draw with s + delta g1 > 1.34e154
+        ({"kind": "rician", "s": 1.0, "delta": 0.5}, 0.0, "row 0: rss_dbm must be "
+         "finite, got -inf"),
+    ], ids=["overflows", "underflows"])
+    def test_rician_power_out_of_range_names_the_row(
+        self, tmp_path, env_file, monkeypatch, spec, power, message
+    ):
+        # in this process a RuntimeWarning is an error, so none is raised
+        if power is not None:  # no draw of a valid budget underflows: force one
+            monkeypatch.setattr(fading, "_rician_power", lambda *_: power)
+        cfg = base_run_config(env_file)
+        cfg["budget"]["fading"] = spec
+        write_json(tmp_path / "run.json", cfg)
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("generate", "--config", "run.json")
+        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("scenario, message", [
+        (
+            {"distances_m": {"start": -1.7e308, "stop": 1.7e308, "count": 2}},
+            "run.json:{line}: scenario: malformed value: distances_m stop - start "
+            "must be finite, got 1.7e+308 - -1.7e+308",
+        ),
+        ({"f_mhz": 1e308}, "f_mhz=1e+308: f_c must be finite and > 0, got inf"),
+    ], ids=["distances_m", "f_mhz"])
+    def test_config_value_that_overflows_names_its_key(
+        self, tmp_path, env_file, scenario, message
+    ):
+        cfg = base_run_config(env_file)
+        cfg["scenario"].update(scenario)
+        write_json(tmp_path / "run.json", cfg)
+        lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+        line = lines.index('  "scenario": {') + 1
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("generate", "--config", "run.json")
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {message.format(line=line)}\n"
+
     def test_unknown_environment_fails_validation(self, tmp_path, env_file):
         cfg_path = tmp_path / "run.json"
         cfg = base_run_config(env_file)
@@ -232,6 +292,7 @@ WRONG_TYPED = [
     ("curves plos_fit", "curves.theta_min_deg", True, "curves"),
     ("curves plos_angle", "curves.uav_height_m", True, "curves"),
     ("generate", "budget.tx_gain_db", 10, "budget"),
+    ("curves rician", "curves.rician_points", 1, "curves"),
 ]
 
 
@@ -252,6 +313,47 @@ def test_wrong_typed_config_value(tmp_path, env_file, command, dotted, value, ke
     assert proc.stderr.startswith(f"error: {cfg_path}:{line}: {key}: ")
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+# (command, block holding the misspelt key or None for the top level, key)
+UNKNOWN_KEYS = [
+    ("generate", None, "plos_modle"),
+    ("generate", "scenario", "distance_m"),
+    ("curves rician", "curves", "rician_point"),
+    ("curves plos_fit", "curves", "theta_min"),
+    ("curves rss_distance", "train", "train_fractoin"),
+    ("curves rss_distance", "rbf", "m_hiden"),
+]
+
+
+@pytest.mark.parametrize("command, block, key", UNKNOWN_KEYS)
+def test_unknown_config_key_exits_2(tmp_path, env_file, command, block, key):
+    """A key no reader knows is a typo: exit 2 naming it at its block's line."""
+    cfg = base_run_config(env_file)
+    (cfg if block is None else cfg[block])[key] = 1
+    write_json(tmp_path / "run.json", cfg)
+    lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+    line = next(
+        i for i, text in enumerate(lines, 1) if text.startswith(f'  "{block or key}":')
+    )
+    where = f"run.json:{line}: " + (f"{block}: malformed value: " if block else "")
+    with contextlib.chdir(tmp_path):
+        code, stdout, stderr = run_main(*command.split(), "--config", "run.json")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {where}unknown keys [{key!r}]\n"
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[1]\n", "run.json: run config must be a JSON object"),
+    ('{"environment": "urban"}\n', "run.json: missing required config key "
+     "'environment_file'"),
+], ids=["not_an_object", "missing_key"])
+def test_run_config_without_its_schema_exits_2(tmp_path, text, message):
+    (tmp_path / "run.json").write_text(text, encoding="utf-8")
+    with contextlib.chdir(tmp_path):
+        code, stdout, stderr = run_main("generate", "--config", "run.json")
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
 
 
 def run_main(*argv):
@@ -393,31 +495,31 @@ class TestScenarioBlock:
 
 
 class TestRunConfigWhere:
-    def test_dotted_path_picks_the_key_in_its_block(self, tmp_path, env_file):
+    def test_top_level_key_gives_its_line(self, tmp_path, env_file):
         cfg_path = tmp_path / "run.json"
-        write_json(cfg_path, base_run_config(env_file))  # rbf.seed before budget.seed
+        write_json(cfg_path, base_run_config(env_file))
         lines = cfg_path.read_text(encoding="utf-8").splitlines()
-        seeds = [i for i, text in enumerate(lines, 1) if '"seed":' in text]
-        budget = lines.index('  "budget": {') + 1
         cfg = RunConfig(str(cfg_path))
-        assert cfg.where("rbf.seed") == f"{cfg_path}:{seeds[0]}"
-        assert cfg.where("budget.seed") == f"{cfg_path}:{seeds[1]}"
-        assert cfg.where("budget.missing") == f"{cfg_path}:{budget}"
+        for key in ("environment", "rbf", "budget", "curves"):
+            line = next(
+                i for i, text in enumerate(lines, 1) if text.startswith(f'  "{key}":')
+            )
+            assert cfg.where(key) == f"{cfg_path}:{line}"
+        assert cfg.where("seed") == str(cfg_path)  # a key of blocks only
         assert cfg.where("missing") == str(cfg_path)
 
-    def test_skips_same_named_keys_in_nested_values(self, tmp_path):
+    def test_skips_same_named_keys_inside_blocks(self, tmp_path):
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(
-            '{"a": {"b": {"seed": 1}, "note": "\\"seed\\": 0",\n'
-            '  "seed": 2}, "seed": [{"seed": 3}]}\n',
+            '{"rbf": {"out_dir": 1, "note": "\\"out_dir\\": 0"},\n'
+            '  "train": [{"out_dir": 3}],\n  "out_dir": "o"}\n',
             encoding="utf-8",
         )
         cfg = RunConfig(str(cfg_path))
-        assert cfg.get("a.seed") == 2
-        assert cfg.where("a.seed") == f"{cfg_path}:2"
-        assert cfg.where("seed") == f"{cfg_path}:2"
-        assert cfg.where("a.b.seed") == f"{cfg_path}:1"
-        assert cfg.where("a.note.seed") == f"{cfg_path}:1"
+        assert cfg.get("out_dir") == "o"
+        assert cfg.where("out_dir") == f"{cfg_path}:3"
+        assert cfg.where("train") == f"{cfg_path}:2"
+        assert cfg.where("note") == str(cfg_path)
 
 
 class TestSeed:
@@ -683,29 +785,74 @@ MODEL_ARRAYS = [
     "centers", "spans", "weights",
     "norm_stats.x_min", "norm_stats.x_max", "norm_stats.y_min", "norm_stats.y_max",
 ]
+# (arrays set to a finite value whole, the error): finite models that overflow
+OVERFLOWING_MODELS = [
+    ({"weights": 1e308}, "non-finite prediction at row "),
+    (
+        {"norm_stats.y_min": -1e308, "norm_stats.y_max": 1e308},
+        "{model}: malformed model document: y_max - y_min must be finite",
+    ),
+]
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("array", MODEL_ARRAYS)
-def test_non_finite_model_array_exits_2(small_run, tmp_path, array, bad):
-    """json reads NaN and Infinity; a model holding one is rejected by name."""
+NON_FINITE = [
+    (array, bad) for bad in (math.nan, math.inf, -math.inf) for array in MODEL_ARRAYS
+]
+
+
+@pytest.mark.parametrize("edits, message", [
+    ({array: bad}, "{model}: malformed model document: non-finite "
+     f"{array.split('.')[-1]} at row ") for array, bad in NON_FINITE
+] + OVERFLOWING_MODELS, ids=[
+    f"{array}-{bad}" for array, bad in NON_FINITE
+] + ["weights-1e308", "y_span-overflows"])
+def test_non_finite_model_array_exits_2(small_run, tmp_path, edits, message):
+    """json reads NaN and Infinity; a model holding one is rejected by name. A
+    finite model whose output or normalization span overflows exits 2 too."""
     doc = json.loads((small_run / "out" / "model.json").read_text(encoding="utf-8"))
-    *block, name = array.split(".")
-    node = doc[block[0]] if block else doc
-    values = np.array(node[name], dtype=float)
-    values.flat[-1] = bad
-    node[name] = values.tolist()
+    for array, value in edits.items():
+        *block, name = array.split(".")
+        node = doc[block[0]] if block else doc
+        values = np.array(node[name], dtype=float)
+        if math.isfinite(value):
+            values[...] = value
+        else:
+            values.flat[-1] = value
+        node[name] = values.tolist()
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")  # writes NaN, Infinity
+    dataset = str(small_run / "out" / "dataset.csv")
     for argv in (
-        ["predict", str(model), "--row", "500,100,2000,100"],
-        ["eval", str(model), str(small_run / "out" / "dataset.csv")],
+        ["predict", str(model), "--input", dataset], ["eval", str(model), dataset],
     ):
         code, stdout, stderr = run_main(*argv)
         assert (code, stdout) == (2, "")
         assert len(stderr.splitlines()) == 1
-        assert stderr.startswith(f"error: {model}: malformed model document: ")
-        assert f"non-finite {name} at row " in stderr
+        assert stderr.startswith(f"error: {message.format(model=model)}")
+
+
+@pytest.mark.parametrize("command, edit, message", [
+    ("predict --row 1,x,3,4", None, "--row must be comma-separated numbers: "
+     "could not convert string to float: 'x'"),
+    ("eval", "three_features", "model dimensions (3 features, 1 outputs) do not "
+     "match the dataset"),
+    ("predict --row 1,2,3,4", "array", "{model}: model document must be a JSON object"),
+    ("eval", "y_min_huge", "rmse_db is inf: the errors leave the float range"),
+], ids=["row_not_numbers", "eval_dimensions", "model_not_an_object", "eval_overflows"])
+def test_model_command_input_errors_exit_2(small_run, tmp_path, command, edit, message):
+    doc = json.loads((small_run / "out" / "model.json").read_text(encoding="utf-8"))
+    if edit == "three_features":  # a model of (D, H, F) features
+        doc["centers"] = [row[:3] for row in doc["centers"]]
+        for key in ("x_min", "x_max"):
+            doc["norm_stats"][key] = doc["norm_stats"][key][:3]
+    elif edit == "y_min_huge":  # predictions near -1e308: finite, their squares not
+        doc["norm_stats"].update(y_min=[-1e308], y_max=[0.0])
+    model = tmp_path / "model.json"
+    write_json(model, [doc] if edit == "array" else doc)
+    name, *rest = command.split()
+    dataset = [str(small_run / "out" / "dataset.csv")] if name == "eval" else []
+    code, stdout, stderr = run_main(name, str(model), *dataset, *rest)
+    assert (code, stdout, stderr) == (2, "", f"error: {message.format(model=model)}\n")
 
 
 @pytest.mark.parametrize("name", ["out/dataset.csv", "features.csv"])

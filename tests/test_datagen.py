@@ -51,7 +51,7 @@ from skylink import (
     write_dataset,
 )
 from skylink import channel_models
-from skylink.datagen import _SEED_CHUNK, _fading_draws_db, scenario_layout
+from skylink.datagen import _SEED_CHUNK, _draw_db, _fading_draws_db, scenario_layout
 
 
 class TestLinkBudget:
@@ -206,6 +206,17 @@ class TestFadingDraws:
         )
         se = ratios.std(ddof=1) / math.sqrt(n)
         assert abs(ratios.mean() - 1.0) < 3.0 * se
+
+    @pytest.mark.parametrize("g, want", [
+        ([1e200, 0.0], -math.inf), ([0.0, 0.0], math.inf),
+    ], ids=["overflows", "underflows"])
+    def test_rician_power_out_of_range_draws_an_infinity(self, g, want):
+        class Fixed:  # a Generator whose normal pair is g
+            def standard_normal(self, n):
+                return np.array(g)
+
+        spec = FadingSpec(kind="rician", rician=RicianParams(s=0.0, delta=1.0))
+        assert _draw_db(spec)(Fixed()) == want  # and warns nothing
 
     def test_rician_draw_is_scalar_pair_of_row_substream(self):
         rician = RicianParams(s=1.0, delta=0.5)
@@ -860,15 +871,20 @@ class TestScenarioLayout:
     @example(-1.7976931348623157e308, 1.7976931348623157e308, 2)
     def test_grid_is_np_linspace_bit_for_bit(self, x, y, count):
         """The {start, stop, count} grid is built without numpy; every
-        strictly increasing one equals np.linspace's in every bit."""
+        strictly increasing one equals np.linspace's in every bit. One whose
+        stop - start overflows is rejected: numpy's would start with nan."""
         start, stop = sorted((x, y)) if count > 1 else (x, y)
         grid = {"start": start, "stop": stop, "count": count}
+        if math.isinf(stop - start):
+            with pytest.raises(ConfigurationError, match="^distances_m stop - start "):
+                scenario_layout("distance_sweep", {"distances_m": grid})
+            return
         got = scenario_layout("distance_sweep", {"distances_m": grid})[1]["distances"]
-        with np.errstate(all="ignore"):  # stop - start may overflow
+        with np.errstate(all="ignore"):  # its steps may overflow
             want = np.linspace(start, stop, count).tolist()
         if all(b > a for a, b in zip(want, want[1:])):
             assert [v.hex() for v in got] == [v.hex() for v in want]
-        else:  # a step that underflows to 0 or overflows: neither increases
+        else:  # a step that underflows to 0, say: neither increases
             assert not all(b > a for a, b in zip(got, got[1:]))
 
     @pytest.mark.parametrize("kind, block, message", [
@@ -989,7 +1005,8 @@ class TestCurveCsv:
         ("# c\na,b\n1,2\n3\n", None, "curve.csv:4: expected 2 fields, got 1"),
         ("# c\na,b\n\n1,2,3\n", None, "curve.csv:4: expected 2 fields, got 3"),
         ("# c\na,b\n1,x\n", None, "curve.csv:3: could not convert"),
-    ], ids=["blank_lines", "short_row", "long_row", "not_a_number"])
+        ("# c\n\n\n", None, "curve.csv: no header row"),
+    ], ids=["blank_lines", "short_row", "long_row", "not_a_number", "no_header"])
     def test_reads_rows(self, tmp_path, text, rows, error):
         path = tmp_path / "curve.csv"
         path.write_text(text, encoding="utf-8")

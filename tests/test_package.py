@@ -168,17 +168,20 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_lists_every_curve_and_curves_key():
-    """README's curve commands and `curves` config row match cli.py."""
+    """README's curve commands and `curves` config row match cli.py: the row
+    lists cli.CURVE_KEYS, which are the keys the curve readers get."""
     text = README.read_text(encoding="utf-8")
     assert re.findall(r"^skylink curves +(\S+)", text, re.M) == list(cli.CURVES)
     row = next(line for line in text.splitlines() if line.startswith("| `curves` |"))
     tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
-    keys = {
-        node.value.removeprefix("curves.") for node in ast.walk(tree)
-        if isinstance(node, ast.Constant) and isinstance(node.value, str)
-        and node.value.startswith("curves.")
+    read = {  # the first argument of each curves.get(...)
+        node.args[0].value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "curves"
     }
-    assert set(re.findall(r"`(\w+)`", row.split("|")[2])) == keys
+    assert read == set(cli.CURVE_KEYS)
+    assert set(re.findall(r"`(\w+)`", row.split("|")[2])) == read
 
 
 def command_options() -> dict[str, set[str]]:

@@ -217,6 +217,12 @@ class TestSigmoidModel:
         with pytest.raises(ConfigurationError):
             plos_sigmoid(env, theta_deg=45.0)
 
+    @pytest.mark.parametrize("theta", [-1.0, 91.0])
+    def test_angle_outside_0_to_90_rejected(self, urban, theta):
+        with pytest.raises(DomainError) as excinfo:
+            plos_sigmoid(urban, theta_deg=theta)
+        assert str(excinfo.value) == f"theta_deg must be in [0, 90], got {theta}"
+
 
 class TestSigmoidFit:
     def test_recovers_known_coefficients(self):

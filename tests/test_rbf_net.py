@@ -413,6 +413,11 @@ class TestInitNetwork:
         assert np.all(net.spans > 0.0)
         assert np.unique(net.spans).size == 1
 
+    def test_coinciding_centers_start_at_span_one_half(self):
+        inputs = np.tile([3.0, 7.0], (5, 1))  # every row the same
+        net = init_network(RbfConfig(m_hidden=3, input_dim=2), inputs)
+        assert net.spans.tolist() == [0.5, 0.5, 0.5]
+
     def test_two_output_anchor_weights(self):
         rng = np.random.default_rng(37)
         inputs = rng.uniform(0.0, 10.0, size=(20, 3))
@@ -484,6 +489,14 @@ class TestNormStats:
         assert str(excinfo.value) == message
 
 
+    @pytest.mark.parametrize("lo, hi", [("x_min", "x_max"), ("y_min", "y_max")])
+    def test_span_must_be_finite(self, lo, hi):
+        stats = {"x_min": [0.0], "x_max": [1.0], "y_min": [0.0], "y_max": [1.0]}
+        with pytest.raises(ConfigurationError) as excinfo:
+            NormStats(**{**stats, lo: [-1e308], hi: [1e308]})
+        assert str(excinfo.value) == f"{hi} - {lo} must be finite"
+
+
 def toy_problem(n=40, seed=3):
     """Smooth scalar map on [0, 1]^2 with raw-unit targets."""
     rng = np.random.default_rng(seed)
@@ -493,6 +506,21 @@ def toy_problem(n=40, seed=3):
 
 
 class TestTrain:
+    def test_empty_training_set_rejected(self):
+        config = RbfConfig(m_hidden=2, input_dim=2, epochs=1)
+        net = init_network(config, toy_problem()[0])
+        with pytest.raises(ConfigurationError) as excinfo:
+            train(net, np.empty((0, 2)), np.empty((0, 1)), config)
+        assert str(excinfo.value) == "training set is empty"
+
+    def test_targets_whose_span_overflows_rejected(self):
+        X, _ = toy_problem(n=4)
+        config = RbfConfig(m_hidden=2, input_dim=2, epochs=1)
+        Y = np.array([[-1e308], [1e308], [0.0], [0.0]])
+        with pytest.raises(ConfigurationError) as excinfo:
+            train(init_network(config, X), X, Y, config)
+        assert str(excinfo.value) == "y_max - y_min must be finite"
+
     def test_learns_smooth_surface(self):
         X, Y = toy_problem()
         config = RbfConfig(m_hidden=8, input_dim=2, epochs=200, seed=1)
@@ -772,6 +800,20 @@ class TestPersistence:
             load_model(path)
         assert str(excinfo.value) == f"{path}: unsupported format_version True"
 
+    def test_rejects_an_unknown_norm_stats_key(self, tmp_path):
+        X, _ = toy_problem()
+        config = RbfConfig(m_hidden=6, input_dim=2, epochs=2, seed=9)
+        path = tmp_path / "model.json"
+        save_model(path, init_network(config, X), config)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert list(doc["norm_stats"]) == ["x_min", "x_max", "y_min", "y_max"]
+        doc["norm_stats"]["z_min"] = [0.0]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            load_model(path)
+        assert str(excinfo.value).startswith(f"{path}: malformed model document: ")
+        assert "z_min" in str(excinfo.value)
+
     def test_rejects_inconsistent_shapes(self, tmp_path):
         X, Y = toy_problem()
         config = RbfConfig(m_hidden=6, input_dim=2, epochs=2, seed=10)
@@ -918,6 +960,30 @@ class TestNonFiniteInput:
         with pytest.raises(DomainError) as excinfo:
             RbfNetwork(**{**parts, part: value})
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("span", [0.0, -1.0])
+    def test_network_rejects_spans_that_are_not_positive(self, span):
+        with pytest.raises(DomainError) as excinfo:
+            RbfNetwork(np.zeros((2, 2)), [1.0, span], np.ones((1, 2)), identity_norm(2))
+        assert str(excinfo.value) == "spans must be strictly positive"
+
+    def test_predict_names_the_first_row_whose_output_overflows(self):
+        # finite parameters whose output is not; no RuntimeWarning either
+        net = RbfNetwork(
+            np.array([[0.0]]), [1.0], np.array([[1e308]]), identity_norm(1, 1)
+        )
+        net.norm.y_min[:] = -1.0  # y = 2 yn - 1 overflows where yn is near 1e308
+        net.norm.y_max[:] = 1.0
+        rows = np.zeros((PREDICT_CHUNK + 3, 1))
+        rows[:PREDICT_CHUNK + 1] = 30.0  # z ~ e^-450: the output stays finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(net.predict(rows[:PREDICT_CHUNK + 1])).all()
+            with pytest.raises(DomainError) as excinfo:
+                net.predict(rows)
+        assert str(excinfo.value) == (
+            f"non-finite prediction at row {PREDICT_CHUNK + 1}, column 0: inf"
+        )
 
     def test_single_vectors_are_checked_as_one_row(self):
         net, config = one_unit_net(), RbfConfig(m_hidden=1, input_dim=1)
