@@ -34,8 +34,8 @@ _EXPORTS = {  # public name -> the module that defines it
     ), "fading"),
     **dict.fromkeys((
         "NormStats", "RbfConfig", "RbfNetwork", "SPAN_FLOOR", "TrainReport",
-        "error_signal", "gradient_check", "init_network", "load_model",
-        "save_model", "train", "train_step",
+        "error_signal", "fit_digest", "gradient_check", "init_network",
+        "load_model", "save_model", "train", "train_step",
     ), "rbf_net"),
 }
 

@@ -207,8 +207,11 @@ def cmd_generate(args) -> int:
 
 
 def _train_model(
-    cfg: RunConfig, dataset: datagen.Dataset
-) -> tuple[rbf_net.RbfNetwork, rbf_net.RbfConfig, rbf_net.TrainReport]:
+    cfg: RunConfig, dataset: datagen.Dataset, reuse: str | None = None
+) -> tuple[rbf_net.RbfNetwork, rbf_net.RbfConfig, rbf_net.TrainReport, str]:
+    """Fit the config's network on its split of ``dataset``: (net, config,
+    report, fit digest). With ``reuse``, a model saved there with the same
+    digest is loaded instead; its report holds only final_val_rmse_db."""
     from . import rbf_net
 
     with cfg.reading("rbf"):
@@ -222,11 +225,20 @@ def _train_model(
         )
     x_train, y_train = datagen.features_targets(train_ds)
     x_test, y_test = datagen.features_targets(test_ds)
+    digest = rbf_net.fit_digest(rbf_cfg, x_train, y_train, x_test, y_test)
+    try:  # a model missing there, malformed or fit otherwise: train afresh
+        net = None if reuse is None else rbf_net.load_model(reuse, digest)[0]
+    except (OSError, ValueError):
+        net = None
+    if net is not None:
+        logger.info("reusing %s: its fit_digest matches", reuse)
+        val_rmse = rbf_net._rmse(net.predict(x_test).reshape(y_test.shape) - y_test)
+        return net, rbf_cfg, rbf_net.TrainReport(final_val_rmse_db=val_rmse), digest
     net = rbf_net.init_network(rbf_cfg, x_train)
     net, report = rbf_net.train(
         net, x_train, y_train, rbf_cfg, validation=(x_test, y_test)
     )
-    return net, rbf_cfg, report
+    return net, rbf_cfg, report, digest
 
 
 def cmd_train(args) -> int:
@@ -234,9 +246,9 @@ def cmd_train(args) -> int:
 
     cfg, out = _config_and_out(args)
     dataset = datagen.read_dataset(args.dataset)
-    net, rbf_cfg, report = _train_model(cfg, dataset)
+    net, rbf_cfg, report, digest = _train_model(cfg, dataset)
     model_path = os.path.join(out, "model.json")
-    rbf_net.save_model(model_path, net, rbf_cfg)
+    rbf_net.save_model(model_path, net, rbf_cfg, digest)
     rmse = [
         f"train_rmse_db={_fmt(report.final_train_rmse_db)}",
         f"val_rmse_db={_fmt(report.final_val_rmse_db)}",
@@ -333,7 +345,7 @@ def _write_curve(cfg: RunConfig, out: str, stem: str, notes, header, rows) -> st
     return path
 
 
-def _curve_rician(cfg: RunConfig, args):
+def _curve_rician(cfg: RunConfig, args, out: str):
     import numpy as np
 
     from . import fading
@@ -387,7 +399,7 @@ def _plos_setting(cfg: RunConfig):
     return envs, h, rx, f"uav_height_m={_fmt(h)} rx_height_m={_fmt(rx)}"
 
 
-def _curve_plos_angle(cfg: RunConfig, args):
+def _curve_plos_angle(cfg: RunConfig, args, out: str):
     envs, h, rx, heights = _plos_setting(cfg)
     thetas = [float(t) for t in range(0, 91)]
     for env in envs.values():
@@ -406,7 +418,7 @@ def _curve_plos_angle(cfg: RunConfig, args):
         yield f"plos_angle_{env.name}", notes, header, rows
 
 
-def _curve_plos_fit(cfg: RunConfig, args):
+def _curve_plos_fit(cfg: RunConfig, args, out: str):
     import numpy as np
 
     envs, h, rx, heights = _plos_setting(cfg)
@@ -442,10 +454,11 @@ _RSS_KINDS = {  # curve -> (scenario kind, feature column along the x axis)
 }
 
 
-def _curve_rss(cfg: RunConfig, args):
+def _curve_rss(cfg: RunConfig, args, out: str):
     kind, axis = _RSS_KINDS[args.which]
     dataset = _scenario_dataset(cfg, kind)
-    net, _, report = _train_model(cfg, dataset)
+    model_path = os.path.join(out, "model.json")  # train's, if fit the same way
+    net, _, report, _ = _train_model(cfg, dataset, model_path)
     x, y = datagen.features_targets(dataset)
     predicted = net.predict(x).reshape(-1)
     header = [FEATURE_HEADER[axis], "rss_empirical_dbm", "rss_predicted_dbm"]
@@ -460,7 +473,8 @@ def _curve_rss(cfg: RunConfig, args):
     yield args.which, notes, header, rows
 
 
-# curve name -> generator(cfg, args) of (file stem, notes, header, rows) per file
+# curve name -> generator(cfg, args, out dir) of (file stem, notes, header, rows)
+# per file
 CURVES = {
     "rician": _curve_rician,
     "plos_angle": _curve_plos_angle,
@@ -472,7 +486,7 @@ CURVES = {
 
 def cmd_curves(args) -> int:
     cfg, out = _config_and_out(args)
-    for curve in CURVES[args.which](cfg, args):
+    for curve in CURVES[args.which](cfg, args, out):
         print(f"wrote {_write_curve(cfg, out, *curve)}")
     return 0
 

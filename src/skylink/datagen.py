@@ -271,6 +271,8 @@ def budget_from_dict(data: dict) -> LinkBudget:
     A key left out takes its default; an unknown key is a SchemaError.
     """
     fad = data.get("fading", {})
+    if not isinstance(fad, dict):
+        raise SchemaError(f"fading: must be an object, got {fad!r}")
     kind = fad.get("kind", "off")
     params = {k: as_number(fad[k]) for k in FADING_KEYS.get(kind, ())}
     if kind == "rician":

@@ -81,7 +81,10 @@ def as_number(value):
 
 
 def as_numbers(name: str, values) -> list:
-    """as_number of each entry; a ConfigurationError names entry i as name[i]."""
+    """as_number of each entry of the list ``values``; a ConfigurationError
+    names entry i as name[i]."""
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{name} must be a list of numbers, got {values!r}")
     named = {f"{name}[{i}]": as_number(v) for i, v in enumerate(values)}
     require(ConfigurationError, dict.fromkeys(named, "finite"), named)
     return list(named.values())

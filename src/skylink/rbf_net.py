@@ -24,6 +24,7 @@ tests/test_rbf_net.py do.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -436,15 +437,16 @@ def train(
     report = TrainReport()
     sq = np.empty(X.shape[0])
     rows, targets = list(Xn[:, None, :]), list(Yn)  # lists index cheaper per step
-    for epoch in range(config.epochs):
-        order = rng.permutation(X.shape[0]).tolist()
-        try:
-            _sgd(net, rows, targets, order, config, sq)
-        except TrainingDivergedError as exc:
-            raise TrainingDivergedError(exc.parameter_class, epoch) from None
-        # sq is indexed by row, so the mean does not pick up ulp-level
-        # noise from the per-epoch visit order
-        report.mse_per_epoch.append(float(np.mean(sq)))
+    with np.errstate(over="ignore", invalid="ignore"):  # _sgd checks each step
+        for epoch in range(config.epochs):
+            order = rng.permutation(X.shape[0]).tolist()
+            try:
+                _sgd(net, rows, targets, order, config, sq)
+            except TrainingDivergedError as exc:
+                raise TrainingDivergedError(exc.parameter_class, epoch) from None
+            # sq is indexed by row, so the mean does not pick up ulp-level
+            # noise from the per-epoch visit order
+            report.mse_per_epoch.append(float(np.mean(sq)))
 
     pred = net.predict(X)  # (n, output_dim), the shape of Y
     report.final_train_rmse_norm = _rmse(net.norm.normalize_targets(pred) - Yn)
@@ -509,8 +511,27 @@ def gradient_check(
     return worst
 
 
-def save_model(path: str, net: RbfNetwork, config: RbfConfig) -> None:
-    """Write the network and its config echo as a JSON document.
+def fit_digest(config: RbfConfig, *arrays: np.ndarray) -> str:
+    """SHA-256 of what fixes a fit: the arrays (shape and bytes), the config
+    echo, the package, model format and numpy versions, and this module's
+    source, so an edit to training that bumps no version changes it too."""
+    from . import __version__
+
+    echo = [asdict(config), __version__, MODEL_FORMAT_VERSION, np.__version__]
+    digest = hashlib.sha256(json.dumps(echo).encode())
+    for array in arrays:
+        array = np.ascontiguousarray(array, dtype=float)
+        digest.update(f"{array.shape}".encode() + array.tobytes())
+    with open(__file__, "rb") as fh:
+        digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def save_model(
+    path: str, net: RbfNetwork, config: RbfConfig, digest: str | None = None
+) -> None:
+    """Write the network, its config echo and, if given, its fit_digest as
+    a JSON document.
 
     Floats serialize via repr (17 significant digits), so a load returns
     value-identical parameters.
@@ -522,18 +543,22 @@ def save_model(path: str, net: RbfNetwork, config: RbfConfig) -> None:
         "centers": net.centers.tolist(),
         "spans": net.spans.tolist(),
         "weights": net.weights.tolist(),
+        **({} if digest is None else {"fit_digest": digest}),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
-def load_model(path: str) -> tuple[RbfNetwork, RbfConfig]:
-    """Load a model JSON written by save_model; schema-checked."""
+def load_model(path: str, digest: str | None = None) -> tuple[RbfNetwork, RbfConfig]:
+    """Load a model JSON written by save_model; schema-checked. With
+    ``digest``, a document whose fit_digest differs is a SchemaError."""
     with open(path, encoding="utf-8") as fh:
         doc = parse_json(fh.read(), path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: model document must be a JSON object")
+    if digest is not None and doc.get("fit_digest") != digest:
+        raise SchemaError(f"{path}: fit_digest is not {digest}")
     required = {"format_version", "config", "norm_stats", "centers", "spans", "weights"}
     missing = required - set(doc)
     if missing:

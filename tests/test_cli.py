@@ -8,6 +8,7 @@ import copy
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import re
@@ -313,6 +314,33 @@ def test_wrong_typed_config_value(tmp_path, env_file, command, dotted, value, ke
     assert proc.stderr.startswith(f"error: {cfg_path}:{line}: {key}: ")
     assert proc.stderr.count("\n") == 1 and proc.stdout == ""
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("command, block, key, value, message", [
+    (
+        "curves rician", "curves", "rician_k", 5,
+        "rician_k must be a list of numbers, got 5",
+    ),
+    (
+        "curves rss_altitude", "scenario", "altitudes_m", 5,
+        "altitudes_m must be a list of numbers, got 5",
+    ),
+    ("generate", "budget", "fading", "off", "fading: must be an object, got 'off'"),
+], ids=["rician_k", "altitudes_m", "fading"])
+def test_value_of_the_wrong_kind_names_its_key(
+    tmp_path, env_file, command, block, key, value, message
+):
+    cfg = base_run_config(env_file)
+    cfg[block][key] = value
+    write_json(tmp_path / "run.json", cfg)
+    lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+    line = next(
+        i for i, text in enumerate(lines, 1) if text.startswith(f'  "{block}":')
+    )
+    with contextlib.chdir(tmp_path):
+        code, stdout, stderr = run_main(*command.split(), "--config", "run.json")
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: run.json:{line}: {block}: malformed value: {message}\n"
 
 
 # (command, block holding the misspelt key or None for the top level, key)
@@ -1263,6 +1291,152 @@ class TestCurves:
         tmp, cfg = workspace
         proc = run_cli("curves", "spectrogram", "--config", str(cfg), cwd=tmp)
         assert proc.returncode == 2
+
+
+RSS_EDITS = {  # rss curve -> config edits under which train fits the same model
+    "rss_distance": {},  # base_run_config's 60-point distance sweep
+    "rss_altitude": {"scenario": {
+        "kind": "altitude_waypoints", "altitudes_m": [10.0 * i for i in range(1, 31)],
+    }},
+}
+
+
+class TestModelReuse:
+    """curves rss_* loads <out>/model.json when its fit_digest matches the fit
+    it would make, and trains otherwise, with the same artifacts either way."""
+
+    @pytest.fixture
+    def run(self, tmp_path, env_file, monkeypatch):
+        """Run the CLI in tmp_path on run.json (base_run_config + edits)."""
+        monkeypatch.chdir(tmp_path)
+
+        def run(*argv, config="run.json", **edits):
+            cfg = base_run_config(env_file)
+            for block, values in edits.items():
+                cfg[block] = values if block == "scenario" else {**cfg[block], **values}
+            write_json(tmp_path / config, cfg)
+            return run_main(*argv, "--config", config)
+
+        return run
+
+    @pytest.fixture
+    def trainings(self, monkeypatch):
+        """The number of rbf_net.train calls so far, as a one-entry list."""
+        from skylink import rbf_net
+
+        calls, real = [0], rbf_net.train
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rbf_net, "train", counted)
+        return calls
+
+    def fresh(self, run, which, **edits):
+        """(exit code, stdout, curve bytes) of curves <which> in out_fresh."""
+        code, stdout, _ = run("curves", which, "--out", "out_fresh", **edits)
+        return code, stdout.replace("out_fresh", "out"), Path(
+            f"out_fresh/{which}.csv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("which", RSS_EDITS)
+    def test_curve_is_byte_identical_with_and_without_reuse(
+        self, run, trainings, caplog, which
+    ):
+        edits = RSS_EDITS[which]
+        want = self.fresh(run, which, **edits)
+        assert run("generate", **edits)[0] == 0
+        assert run("train", "out/dataset.csv", **edits)[0] == 0
+        assert trainings == [2]
+        caplog.set_level(logging.INFO, logger="skylink.cli")
+        code, stdout, _ = run("curves", which, **edits)
+        assert trainings == [2]  # the model was loaded, not fit again
+        assert (code, stdout, Path(f"out/{which}.csv").read_bytes()) == want
+        assert caplog.messages == ["reusing out/model.json: its fit_digest matches"]
+
+    def test_reuse_makes_no_sgd_step(self, run, monkeypatch):
+        assert run("generate")[0] == 0
+        assert run("train", "out/dataset.csv")[0] == 0
+        from skylink import rbf_net
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained although model.json fits")
+
+        monkeypatch.setattr(rbf_net, "train", no_training)
+        monkeypatch.setattr(rbf_net, "_sgd", no_training)
+        code, _, stderr = run("curves", "rss_distance")
+        assert (code, stderr) == (0, "")
+
+    @pytest.mark.parametrize("config, extra", [
+        ("run.json", ["--seed", "3"]),  # rbf, budget and split seeds
+        ("other.json", []),  # a dataset of another transmit power
+        ("rbf.json", []),  # another rbf block
+    ], ids=["seed", "dataset", "rbf"])
+    def test_model_fit_another_way_is_not_reused(
+        self, run, trainings, config, extra
+    ):
+        budget = {"tx_power_dbm": 31.0} if config == "other.json" else {}
+        rbf = {"tau_w": 0.1} if config == "rbf.json" else {}
+        assert run("generate", config=config, budget=budget)[0] == 0
+        code, _, _ = run("train", "out/dataset.csv", *extra, config=config, rbf=rbf)
+        assert code == 0
+        want = self.fresh(run, "rss_distance")
+        assert trainings == [2]
+        code, stdout, _ = run("curves", "rss_distance")
+        assert trainings == [3]
+        assert (code, stdout, Path("out/rss_distance.csv").read_bytes()) == want
+
+    @pytest.mark.parametrize("spoil", [
+        lambda text: text[: len(text) // 2],  # truncated
+        lambda text: json.dumps({
+            k: v for k, v in json.loads(text).items() if k != "fit_digest"
+        }),
+        lambda text: json.dumps({**json.loads(text), "spans": "x"}),  # digest kept
+        lambda text: "[]",
+    ], ids=["truncated", "no_digest", "malformed", "not_an_object"])
+    def test_spoilt_model_falls_back_to_training(self, run, trainings, spoil):
+        want = self.fresh(run, "rss_distance")
+        assert run("generate")[0] == 0
+        assert run("train", "out/dataset.csv")[0] == 0
+        model = Path("out/model.json")
+        model.write_text(spoil(model.read_text(encoding="utf-8")), encoding="utf-8")
+        spoilt = model.read_bytes()
+        code, stdout, stderr = run("curves", "rss_distance")
+        assert trainings == [3] and stderr == ""
+        assert (code, stdout, Path("out/rss_distance.csv").read_bytes()) == want
+        assert model.read_bytes() == spoilt
+
+    def test_unreadable_model_falls_back_to_training(self, run, trainings):
+        want = self.fresh(run, "rss_distance")
+        Path("out/model.json").mkdir(parents=True)
+        code, stdout, _ = run("curves", "rss_distance")
+        assert trainings == [2]
+        assert (code, stdout, Path("out/rss_distance.csv").read_bytes()) == want
+
+    def test_reuse_is_logged_at_info(self, run):
+        assert run("generate")[0] == 0
+        assert run("train", "out/dataset.csv")[0] == 0
+        for level, want in (("warn", ""), ("info", "reusing out/model.json")):
+            env = dict(os.environ, SKYLINK_LOG=level)
+            proc = run_cli("curves", "rss_distance", "--config", "run.json", env=env)
+            assert proc.returncode == 0
+            assert proc.stderr.count("\n") == bool(want) and want in proc.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "out/dataset.csv"], ["curves", "rss_distance"],
+])
+def test_divergence_prints_only_its_error(tmp_path, env_file, command):
+    """Overflow inside an epoch is no warning: the finite-sum check raises."""
+    cfg = base_run_config(env_file)
+    cfg["rbf"]["tau_w"] = 1e308
+    write_json(tmp_path / "run.json", cfg)
+    assert run_cli("generate", "--config", "run.json", cwd=tmp_path).returncode == 0
+    proc = run_cli(*command, "--config", "run.json", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: training diverged")
+    assert proc.stderr.count("\n") == 1
 
 
 class TestHarness:

@@ -22,6 +22,7 @@ from skylink import (
     SPAN_FLOOR,
     TrainingDivergedError,
     error_signal,
+    fit_digest,
     gradient_check,
     init_network,
     load_model,
@@ -730,8 +731,10 @@ class TestPersistence:
             values = data.draw(st.lists(elements, min_size=size, max_size=size))
             return np.array(values, dtype=float).reshape(shape)
 
-        def bounds(n):  # n columns of min < max
-            pairs = st.tuples(finite, finite).filter(lambda p: p[0] != p[1])
+        def bounds(n):  # n columns of min < max, max - min finite as NormStats needs
+            pairs = st.tuples(finite, finite).filter(
+                lambda p: p[0] != p[1] and math.isfinite(p[0] - p[1])
+            )
             lo, hi = zip(*(sorted(p) for p in data.draw(
                 st.lists(pairs, min_size=n, max_size=n)
             )))
@@ -760,6 +763,58 @@ class TestPersistence:
         ]
         for got, want in pairs:
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_fit_digest_is_one_more_key_that_load_checks_on_request(self, tmp_path):
+        X, Y = toy_problem()
+        config = RbfConfig(m_hidden=6, input_dim=2, epochs=2, seed=9)
+        net, _ = train(init_network(config, X), X, Y, config)
+        digest = fit_digest(config, X, Y)
+        save_model(tmp_path / "plain.json", net, config)
+        save_model(tmp_path / "model.json", net, config, digest)
+        plain = json.loads((tmp_path / "plain.json").read_text(encoding="utf-8"))
+        doc = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+        assert doc == {**plain, "fit_digest": digest} and list(doc)[-1] == "fit_digest"
+        for args in ([], [digest]):
+            loaded, loaded_config = load_model(tmp_path / "model.json", *args)
+            assert loaded_config == config
+            for name in ("centers", "spans", "weights"):
+                assert getattr(loaded, name).tobytes() == getattr(net, name).tobytes()
+        for name, other in (("plain.json", digest), ("model.json", "0" * 64)):
+            with pytest.raises(SchemaError, match=f": fit_digest is not {other}$"):
+                load_model(tmp_path / name, other)
+
+    @pytest.mark.parametrize("change", [
+        "config", "entry", "shape", "arrays", "package", "format", "numpy", "source",
+    ])
+    def test_fit_digest_covers_what_fixes_the_fit(self, tmp_path, monkeypatch, change):
+        import skylink
+        from skylink import rbf_net
+
+        X, Y = toy_problem()
+        config = RbfConfig(m_hidden=6, input_dim=2, epochs=2, seed=9)
+        args = [config, X, Y]
+        want = fit_digest(*args)
+        assert fit_digest(config, X.copy(), Y.copy()) == want
+        if change == "config":
+            args[0] = RbfConfig(m_hidden=6, input_dim=2, epochs=2, seed=10)
+        elif change == "entry":
+            args[1] = X.copy()
+            args[1][3, 1] = np.nextafter(X[3, 1], 2.0)
+        elif change == "shape":  # the same bytes
+            args[1] = X.reshape(X.shape[1], X.shape[0])
+        elif change == "arrays":  # a validation split
+            args += [X[:2], Y[:2]]
+        elif change == "package":
+            monkeypatch.setattr(skylink, "__version__", "0.0.0")
+        elif change == "format":
+            monkeypatch.setattr(rbf_net, "MODEL_FORMAT_VERSION", 2)
+        elif change == "numpy":
+            monkeypatch.setattr(np, "__version__", "0.0.0")
+        else:  # an edit to rbf_net.py that bumps no version
+            source = Path(rbf_net.__file__).read_text(encoding="utf-8")
+            (tmp_path / "rbf_net.py").write_text(source + "#\n", encoding="utf-8")
+            monkeypatch.setattr(rbf_net, "__file__", str(tmp_path / "rbf_net.py"))
+        assert fit_digest(*args) != want
 
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "model.json"
