@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     FitError,
     SchemaError,
-    as_number,
     parse_json,
     require,
     require_finite,
@@ -82,24 +81,25 @@ class Environment:
         if "\n" in self.name or "\r" in self.name:  # curve files note the name
             raise ConfigurationError(f"environment name {self.name!r} must be one line")
         prefix = f"environment {self.name!r}: "
-        require(ConfigurationError, {
+        vars(self).update(require(ConfigurationError, {
             "alpha": "in (0, 1]", "beta": "finite and > 0", "gamma": "finite and > 0",
             "eps_los_db": "finite", "eps_nlos_db": "finite",
-        }, vars(self), prefix)
+        }, vars(self), prefix))
         if not (0.0 <= self.eps_los_db <= self.eps_nlos_db):
             raise ConfigurationError(
                 f"{prefix}need 0 <= eps_los_db <= eps_nlos_db, "
                 f"got {self.eps_los_db} and {self.eps_nlos_db}"
             )
         for name, rules in (("c", _C_RULES), ("sigmoid", _SIGMOID_RULES)):
-            if getattr(self, name) is not None:
-                value = tuple(map(as_number, getattr(self, name)))
-                object.__setattr__(self, name, value)
+            value = getattr(self, name)
+            if value is not None:
                 if len(value) != len(rules):
                     raise ConfigurationError(
                         f"{prefix}{name} must have {len(rules)} entries"
                     )
-                require(ConfigurationError, rules, dict(zip(rules, value)), prefix)
+                entries = dict(zip(rules, value))
+                checked = require(ConfigurationError, rules, entries, prefix)
+                vars(self)[name] = tuple(checked.values())
 
 
 # Entry rules of the optional Environment tuples, in tuple order.
@@ -126,7 +126,7 @@ def load_environments(path: str) -> dict[str, Environment]:
         try:
             env = environment_from_dict(item)
         except ConfigurationError:
-            raise  # a range error names its environment
+            raise  # a bad number names its environment
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: entry {i}: {exc}") from exc
         if env.name in envs:
@@ -167,14 +167,8 @@ def environment_from_dict(data: dict) -> Environment:
         raise SchemaError("c must be an array of 5 numbers")
     if sig is not None and (not isinstance(sig, dict) or sig.keys() != {"a", "b"}):
         raise SchemaError("sigmoid must be an object with keys a, b")
-    # field types are strings: this module postpones annotations
-    floats = [f.name for f in fields(Environment) if f.type == "float"]
-    return Environment(
-        name=data["name"],
-        **{name: as_number(data[name]) for name in floats},
-        c=c,  # c and sigmoid entries become numbers in Environment
-        sigmoid=None if sig is None else (sig["a"], sig["b"]),
-    )
+    sigmoid = None if sig is None else (sig["a"], sig["b"])
+    return Environment(**{**data, "sigmoid": sigmoid})  # the rules check each number
 
 
 @dataclass(frozen=True)

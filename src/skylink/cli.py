@@ -28,13 +28,12 @@ from .errors import (
     FitError,
     SchemaError,
     SkylinkError,
-    as_number,
     as_numbers,
     parse_json,
     require,
 )
 
-logger = logging.getLogger(__name__)
+logger = logging.getLogger("skylink.cli")  # also under python -m
 
 LOG_LEVELS = {
     "error": logging.ERROR,
@@ -157,10 +156,10 @@ def _fmt(value: float) -> str:
 
 
 def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
-    with cfg.reading("environment_file"):  # relative to the config's directory
-        env_file = os.path.join(
-            os.path.dirname(os.path.abspath(cfg.path)), cfg.get("environment_file")
-        )
+    env_file = cfg.get("environment_file")  # relative to the config's directory
+    if not isinstance(env_file, str):
+        raise cfg.fail("environment_file", f"must be a string, got {env_file!r}")
+    env_file = os.path.join(os.path.dirname(os.path.abspath(cfg.path)), env_file)
     if not os.path.exists(env_file):
         raise ConfigurationError(
             f"{cfg.where('environment_file')}: environment file "
@@ -220,7 +219,7 @@ def _train_model(
     with cfg.reading("train"):  # split's rules check the fraction and the seed
         train = cfg.block("train", TRAIN_KEYS)
         train_ds, test_ds = datagen.split(
-            dataset, as_number(train.get("train_fraction", 0.8)),
+            dataset, train.get("train_fraction", 0.8),
             train.get("split_seed", 13),
         )
     x_train, y_train = datagen.features_targets(train_ds)
@@ -262,11 +261,10 @@ def cmd_train(args) -> int:
     print(*rmse, sep="\n")
     mse = report.mse_per_epoch
     if rbf_cfg.update_mode == "paper_literal" and mse[-1] >= mse[0]:
-        print(
-            "warning: paper_literal updates did not reduce the training MSE "
-            f"({_fmt(mse[0])} -> {_fmt(mse[-1])}); this update rule ascends "
-            "the squared-error objective",
-            file=sys.stderr,
+        logger.warning(
+            "paper_literal updates did not reduce the training MSE (%s -> %s); "
+            "this update rule ascends the squared-error objective",
+            _fmt(mse[0]), _fmt(mse[-1]),
         )
     return 0
 
@@ -354,10 +352,11 @@ def _curve_rician(cfg: RunConfig, args, out: str):
         curves = cfg.block("curves", CURVE_KEYS)
         k_list = as_numbers("rician_k", curves.get("rician_k", [0.0, 50.0, 100.0]))
         in_db = curves.get("rician_k_db", False)
-        rician_r_max = as_number(curves.get("rician_r_max", 3.0))
+        rician_r_max = curves.get("rician_r_max", 3.0)
         rician_points = curves.get("rician_points", 301)
         rules = {"rician_r_max": "finite and > 0", "rician_points": "int"}
-        require(ConfigurationError, rules, locals())
+        checked = require(ConfigurationError, rules, locals())
+        rician_r_max, rician_points = checked.values()
         if not isinstance(in_db, bool):
             raise cfg.fail(
                 "curves", f"rician_k_db must be true or false, got {in_db!r}"
@@ -392,10 +391,10 @@ def _plos_setting(cfg: RunConfig):
     envs = _load_environments(cfg)
     with cfg.reading("curves"):
         curves = cfg.block("curves", CURVE_KEYS)
-        h = as_number(curves.get("uav_height_m", 100.0))
-        rx = as_number(curves.get("rx_height_m", datagen.DEFAULT_RX_HEIGHT_M))
+        uav_height_m = curves.get("uav_height_m", 100.0)
+        rx_height_m = curves.get("rx_height_m", datagen.DEFAULT_RX_HEIGHT_M)
         rules = {"uav_height_m": "finite and > 0", "rx_height_m": "finite"}
-        require(ConfigurationError, rules, {"uav_height_m": h, "rx_height_m": rx})
+        h, rx = require(ConfigurationError, rules, locals()).values()
     return envs, h, rx, f"uav_height_m={_fmt(h)} rx_height_m={_fmt(rx)}"
 
 
@@ -424,7 +423,7 @@ def _curve_plos_fit(cfg: RunConfig, args, out: str):
     envs, h, rx, heights = _plos_setting(cfg)
     with cfg.reading("curves"):
         curves = cfg.block("curves", CURVE_KEYS)
-        theta_min_deg = as_number(curves.get("theta_min_deg", 10.0))
+        theta_min_deg = curves.get("theta_min_deg", 10.0)
         require(ConfigurationError, {"theta_min_deg": "in [0, 90]"}, locals())
     thetas = [float(t) for t in range(int(theta_min_deg), 91)]  # whole degrees
     for env in envs.values():

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 from . import channel_models as cm
 from .errors import ConfigurationError, DomainError, SchemaError
-from .errors import as_number, as_numbers, parse_json, require, require_finite
+from .errors import as_numbers, parse_json, require, require_finite
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
 
@@ -50,7 +50,7 @@ class FadingSpec:
     sigma_db: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in FADING_KEYS:
+        if self.kind not in tuple(FADING_KEYS):  # a list kind cannot be hashed
             raise ConfigurationError(
                 f"fading kind must be one of {tuple(FADING_KEYS)}, got {self.kind!r}"
             )
@@ -62,7 +62,8 @@ class FadingSpec:
                 "fading: rician s^2 + 2 delta^2 must be a positive normal float, "
                 f"got {power!r}"
             )
-        require(ConfigurationError, {"sigma_db": "finite and >= 0"}, vars(self))
+        rules = {"sigma_db": "finite and >= 0"}
+        vars(self).update(require(ConfigurationError, rules, vars(self)))
 
 
 @dataclass(frozen=True)
@@ -79,10 +80,10 @@ class LinkBudget:
     seed: int = 0
 
     def __post_init__(self):
-        require(ConfigurationError, {
+        vars(self).update(require(ConfigurationError, {
             "tx_power_dbm": "finite", "tx_gain_dbi": "finite", "rx_gain_dbi": "finite",
             "seed": "int and >= 0",
-        }, vars(self))
+        }, vars(self)))
 
 
 def fading_draw_db(budget: LinkBudget, index: int) -> float:
@@ -268,27 +269,28 @@ def _budget_to_dict(budget: LinkBudget) -> dict:
 def budget_from_dict(data: dict) -> LinkBudget:
     """Build a LinkBudget from its JSON form (config block or metadata).
 
-    A key left out takes its default; an unknown key is a SchemaError.
+    A key left out takes its default, except the keys of a fading kind; such
+    a key left out, or an unknown key, is a SchemaError.
     """
     fad = data.get("fading", {})
     if not isinstance(fad, dict):
         raise SchemaError(f"fading: must be an object, got {fad!r}")
     kind = fad.get("kind", "off")
-    params = {k: as_number(fad[k]) for k in FADING_KEYS.get(kind, ())}
+    keys = FADING_KEYS.get(kind, ()) if isinstance(kind, str) else ()
+    if set(keys) - fad.keys():  # FadingSpec rejects an unknown kind
+        raise SchemaError(f"fading: missing keys {sorted(set(keys) - fad.keys())}")
+    params = {k: fad[k] for k in keys}
     if kind == "rician":
         from .fading import RicianParams
 
         spec = FadingSpec(kind, rician=RicianParams(**params))
     else:
         spec = FadingSpec(kind, **params)  # rejects an unknown kind
-    known = {f.name for f in fields(LinkBudget)}, {"kind", *FADING_KEYS[kind]}
+    known = {f.name for f in fields(LinkBudget)}, {"kind", *keys}
     for prefix, block, keys in zip(("", "fading: "), (data, fad), known):
         if block.keys() - keys:
             raise SchemaError(f"{prefix}unknown keys {sorted(block.keys() - keys)}")
-    return LinkBudget(**{  # the seed as given: its rule rejects 2.5 and "7"
-        k: spec if k == "fading" else v if k == "seed" else as_number(v)
-        for k, v in data.items()
-    })
+    return LinkBudget(**{**data, "fading": spec})
 
 
 def _generate(
@@ -407,11 +409,9 @@ _LAYOUT_RULES = {
 
 
 def _number(block: dict, key: str, default=None):
-    """block[key] (default if left out) checked by its rule; a count as given."""
-    value = block.get(key, default)
-    values = {key: value if key == "count" else as_number(value)}
-    require(ConfigurationError, {k: _LAYOUT_RULES[k] for k in values}, values)
-    return values[key]
+    """block[key] (default if left out) as require returns it by the key's rule."""
+    given = {key: block.get(key, default)}
+    return require(ConfigurationError, {k: _LAYOUT_RULES[k] for k in given}, given)[key]
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:
@@ -424,7 +424,7 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     """
     try:  # whole, as an array is: a count past the address space fails at once
         grid = [start] * count
-    except MemoryError:
+    except (MemoryError, OverflowError):  # OverflowError: past an index's range
         raise MemoryError(f"cannot allocate a grid of {count} points") from None
     delta = stop - start
     step = delta / (count - 1) if count > 1 else delta

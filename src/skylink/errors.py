@@ -75,40 +75,39 @@ RULES = {
 }
 
 
-def as_number(value):
-    """float(value), except that a bool stays a bool for require to reject."""
-    return value if isinstance(value, bool) else float(value)
-
-
 def as_numbers(name: str, values) -> list:
-    """as_number of each entry of the list ``values``; a ConfigurationError
-    names entry i as name[i]."""
+    """The entries of the list ``values``, each checked by require as finite
+    and named name[i] in its ConfigurationError; floats in list order."""
     if not isinstance(values, list):
         raise ConfigurationError(f"{name} must be a list of numbers, got {values!r}")
-    named = {f"{name}[{i}]": as_number(v) for i, v in enumerate(values)}
-    require(ConfigurationError, dict.fromkeys(named, "finite"), named)
-    return list(named.values())
+    named = {f"{name}[{i}]": v for i, v in enumerate(values)}
+    checked = require(ConfigurationError, dict.fromkeys(named, "finite"), named)
+    return list(checked.values())
 
 
-def require(error: type, table: dict, values, prefix: str = "") -> None:
-    """Check values[name], for each name in ``table``, against its rule.
+def require(error: type, table: dict, values, prefix: str = "") -> dict:
+    """Check values[name], for each name in ``table``, against its rule;
+    return the checked values by name, as floats or, under "int", as given.
 
-    values is a mapping such as vars(self) or a function's locals(). The
-    first value that is no real number (bools are not) or fails its rule
-    raises error("{prefix}{name} must be {rule}, got {value!r}").
+    values is a mapping such as vars(self), locals() or a raw config block.
+    The first value that is no real number (bools and strings are not) or
+    fails its rule raises error("{prefix}{name} must be {rule}, got {value!r}").
+    Each rule without "int" bounds its value, so no float() overflows.
     """
+    checked = {}
     for name, rule in table.items():
-        value = values[name]
+        value, terms = values[name], rule.split(" and ")
         if isinstance(value, bool) or not isinstance(value, numbers.Real) or not all(
-            RULES[term](value) for term in rule.split(" and ")
+            RULES[term](value) for term in terms
         ):
             raise error(f"{prefix}{name} must be {rule}, got {value!r}")
+        checked[name] = value if "int" in terms else float(value)
+    return checked
 
 
 def require_finite(name: str, value) -> float:
-    """float(value) once require(DomainError, {name: "finite"}) passes it; a
-    finite float returns at once, as the per-row channel functions need."""
+    """require(DomainError, {name: "finite"})'s float of value; a finite
+    float returns at once, as the per-row channel functions need."""
     if type(value) is float and math.isfinite(value):
         return value
-    require(DomainError, {name: "finite"}, {name: value})
-    return float(value)
+    return require(DomainError, {name: "finite"}, {name: value})[name]

@@ -41,9 +41,8 @@ class RicianParams:
     delta: float
 
     def __post_init__(self):
-        require(
-            DomainError, {"s": "finite and >= 0", "delta": "finite and > 0"}, vars(self)
-        )
+        rules = {"s": "finite and >= 0", "delta": "finite and > 0"}
+        vars(self).update(require(DomainError, rules, vars(self)))
 
 
 def _log_i0e(z: np.ndarray) -> np.ndarray:

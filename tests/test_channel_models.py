@@ -305,7 +305,7 @@ class TestEnvironmentConfig:
         with pytest.raises(SchemaError):
             load_environments(path)
 
-    def test_load_wraps_non_number_as_schema_error(self, tmp_path):
+    def test_load_names_the_environment_of_a_non_number(self, tmp_path):
         path = tmp_path / "envs.json"
         good = {
             "name": "urban", "alpha": 0.3, "beta": 500.0, "gamma": 15.0,
@@ -314,10 +314,10 @@ class TestEnvironmentConfig:
         path.write_text(
             json.dumps([good, dict(good, name="bad", alpha="abc")]), encoding="utf-8"
         )
-        with pytest.raises(SchemaError) as excinfo:
+        with pytest.raises(ConfigurationError) as excinfo:
             load_environments(path)
         assert str(excinfo.value) == (
-            f"{path}: entry 1: could not convert string to float: 'abc'"
+            "environment 'bad': alpha must be in (0, 1], got 'abc'"
         )
 
     def test_load_keeps_environment_range_error(self, tmp_path):

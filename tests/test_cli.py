@@ -205,6 +205,16 @@ class TestGenerate:
         assert (code, stdout) == (2, "")
         assert stderr == f"error: {message.format(line=line)}\n"
 
+    @pytest.mark.parametrize("count", [2**62, 2**1100], ids=["memory", "index"])
+    def test_grid_past_memory_or_index_exits_1(self, tmp_path, env_file, count):
+        cfg = base_run_config(env_file)
+        cfg["scenario"]["distances_m"]["count"] = count
+        write_json(tmp_path / "run.json", cfg)
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("generate", "--config", "run.json")
+        message = f"error: cannot allocate a grid of {count} points\n"
+        assert (code, stdout, stderr) == (1, "", message)
+
     def test_unknown_environment_fails_validation(self, tmp_path, env_file):
         cfg_path = tmp_path / "run.json"
         cfg = base_run_config(env_file)
@@ -231,7 +241,7 @@ class TestGenerate:
         assert "run.json:2" in proc.stderr
 
     @pytest.mark.parametrize("key, value, message", [
-        ("alpha", "abc", "{path}: entry 1: could not convert string to float: 'abc'"),
+        ("alpha", "abc", "environment 'urban': alpha must be in (0, 1], got 'abc'"),
         ("name", None, "environment name None is not a string"),
         ("alpha", True, "environment 'urban': alpha must be in (0, 1], got True"),
         (
@@ -326,7 +336,23 @@ def test_wrong_typed_config_value(tmp_path, env_file, command, dotted, value, ke
         "altitudes_m must be a list of numbers, got 5",
     ),
     ("generate", "budget", "fading", "off", "fading: must be an object, got 'off'"),
-], ids=["rician_k", "altitudes_m", "fading"])
+    (
+        "generate", "budget", "fading", {"kind": "rician", "s": 1.0},
+        "fading: missing keys ['delta']",
+    ),
+    (
+        "generate", "budget", "fading", {"kind": "gaussian_shadow"},
+        "fading: missing keys ['sigma_db']",
+    ),
+    (
+        "generate", "budget", "fading", {"kind": ["rician"]},
+        "fading kind must be one of ('off', 'rician', 'gaussian_shadow'), "
+        "got ['rician']",
+    ),
+], ids=[
+    "rician_k", "altitudes_m", "fading", "fading_without_delta",
+    "fading_without_sigma_db", "fading_kind",
+])
 def test_value_of_the_wrong_kind_names_its_key(
     tmp_path, env_file, command, block, key, value, message
 ):
@@ -341,6 +367,59 @@ def test_value_of_the_wrong_kind_names_its_key(
         code, stdout, stderr = run_main(*command.split(), "--config", "run.json")
     assert (code, stdout) == (2, "")
     assert stderr == f"error: run.json:{line}: {block}: malformed value: {message}\n"
+
+
+# (command, the name its error gives, how it puts a value v into the run
+# config or the environments): a number of each reader
+NUMBER_SITES = [
+    ("generate", "h_m", lambda cfg, envs, v: cfg["scenario"].update(h_m=v)),
+    ("generate", "distances_m[1]", lambda cfg, envs, v: cfg["scenario"].update(
+        distances_m=[100.0, v, 300.0]
+    )),
+    ("generate", "tx_power_dbm", lambda cfg, envs, v: cfg["budget"].update(
+        tx_power_dbm=v
+    )),
+    ("generate", "s", lambda cfg, envs, v: cfg["budget"].update(
+        fading={"kind": "rician", "s": v, "delta": 0.5}
+    )),
+    ("curves plos_fit", "theta_min_deg", lambda cfg, envs, v: cfg["curves"].update(
+        theta_min_deg=v
+    )),
+    ("generate", "alpha", lambda cfg, envs, v: envs[1].update(alpha=v)),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [[1], {}, "abc", "100", 2**1100],
+    ids=["list", "object", "text", "quoted_number", "huge_int"],
+)
+@pytest.mark.parametrize(
+    "command, name, put", NUMBER_SITES, ids=[name for _, name, _ in NUMBER_SITES]
+)
+def test_value_that_is_no_float_names_its_key(tmp_path, command, name, put, value):
+    """Every reader hands the raw value to require: one line naming the key."""
+    cfg, envs = base_run_config("environments.json"), copy.deepcopy(ENVIRONMENTS)
+    put(cfg, envs, value)
+    write_json(tmp_path / "environments.json", envs)
+    write_json(tmp_path / "run.json", cfg)
+    with contextlib.chdir(tmp_path):
+        code, stdout, stderr = run_main(*command.split(), "--config", "run.json")
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert f" {name} must be " in stderr and stderr.endswith(f", got {value!r}\n")
+    for text in ("float()", "could not convert", "int too large", "unhashable",
+                 "argument must be"):
+        assert text not in stderr
+
+
+def test_environment_file_that_is_no_string_names_its_key(tmp_path, env_file):
+    cfg = base_run_config(env_file)
+    cfg["environment_file"] = 5
+    write_json(tmp_path / "run.json", cfg)
+    with contextlib.chdir(tmp_path):
+        code, stdout, stderr = run_main("generate", "--config", "run.json")
+    message = "error: run.json:2: environment_file: must be a string, got 5\n"
+    assert (code, stdout, stderr) == (2, "", message)
 
 
 # (command, block holding the misspelt key or None for the top level, key)
@@ -416,6 +495,8 @@ def fuzz_config():
 FUZZ_LEAVES = [("config", p) for p in json_leaves(fuzz_config())] + [
     ("environment", p) for p in json_leaves(ENVIRONMENTS[1])  # the selected one
 ]
+# No huge int: rbf.epochs = 2**70 is a valid config that trains for ever.
+# test_value_that_is_no_float_names_its_key puts 2**1100 in each kind of number.
 FUZZ_VALUES = [None, True, "x", -1, 0, 2.5, math.nan, math.inf, -math.inf, [], {}]
 FUZZ_COMMANDS = [
     ["generate"], ["train", "out/dataset.csv"], ["curves", "rician"],
@@ -690,7 +771,15 @@ class TestTrain:
             str(tmp_path / "out" / "dataset.csv"), cwd=tmp_path,
         )
         assert proc.returncode == 0
-        assert "paper_literal" in proc.stderr
+        assert proc.stderr.startswith(
+            "WARNING:skylink.cli:paper_literal updates did not reduce the training MSE"
+        )
+        env = dict(os.environ, SKYLINK_LOG="error")  # a log record, so it obeys
+        proc = run_cli(
+            "train", "--config", str(cfg_path),
+            str(tmp_path / "out" / "dataset.csv"), cwd=tmp_path, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_non_finite_target_rejected(self, workspace):
         dataset = generate(workspace)
@@ -1448,6 +1537,15 @@ class TestHarness:
     def test_unknown_command(self, tmp_path):
         proc = run_cli("transmogrify", cwd=tmp_path)
         assert proc.returncode == 2
+
+    def test_records_are_named_skylink_cli_under_python_m(self, small_run):
+        """python -m runs the module as __main__; its logger keeps its name."""
+        model = str(small_run / "out" / "model.json")
+        proc = run_cli("predict", model, "--row", "1,2,3,4", cwd=small_run)
+        assert (proc.returncode, proc.stderr) == (0, (
+            "WARNING:skylink.cli:1 of 1 input rows fall outside the model's "
+            "training feature range; extrapolating\n"
+        ))
 
     def test_bogus_log_level_still_runs(self, workspace):
         tmp, cfg = workspace

@@ -118,7 +118,9 @@ class TestLinkBudget:
         assert LinkBudget().tx_power_dbm == 30.0
         assert budget_from_dict({}) == LinkBudget()
         assert budget_from_dict({"seed": 5}) == LinkBudget(seed=5)
-        assert budget_from_dict({"tx_power_dbm": "27"}) == LinkBudget(27.0)
+        with pytest.raises(ConfigurationError) as excinfo:  # a quoted number
+            budget_from_dict({"tx_power_dbm": "27"})
+        assert str(excinfo.value) == "tx_power_dbm must be finite, got '27'"
 
     @pytest.mark.parametrize("data, message", [
         ({"tx_gain_db": 10}, "unknown keys ['tx_gain_db']"),
@@ -908,7 +910,7 @@ class TestScenarioLayout:
         ("distance_sweep", {"f_mhz": True}, "f_mhz must be finite and > 0, got True"),
         (
             "altitude_waypoints", {"rx_height_m": -1},
-            "rx_height_m must be finite and >= 0, got -1.0",
+            "rx_height_m must be finite and >= 0, got -1",
         ),
         ("distance_sweep", {"h_m": True}, "h_m must be finite and > 0, got True"),
         (
@@ -986,6 +988,23 @@ class TestSidecar:
         for ext in (".csv", ".json"):
             a, b = (tmp_path / (stem + ext) for stem in ("first", "second"))
             assert a.read_bytes() == b.read_bytes()
+
+    def test_int_arguments_regenerate_byte_identical(self, tmp_path, urban):
+        """The value objects store require's floats, so a sidecar of int
+        arguments writes 500.0 and 30.0, as its regeneration does."""
+        env = dataclasses.replace(urban, beta=500, c=(1, 0, 15, 12, 2))
+        budget = LinkBudget(
+            tx_power_dbm=30, rx_gain_dbi=2, seed=5,
+            fading=FadingSpec("rician", rician=RicianParams(s=1, delta=1)),
+        )
+        ds = gen_distance_sweep(env, 100, [200, 700], f_mhz=900, budget=budget)
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_dataset(ds, first)
+        write_dataset(generate_from_metadata(read_dataset(first).metadata), second)
+        for ext in (".csv", ".json"):
+            a, b = (tmp_path / (stem + ext) for stem in ("first", "second"))
+            assert a.read_bytes() == b.read_bytes()
+        assert '"beta": 500.0' in (tmp_path / "first.json").read_text(encoding="utf-8")
 
 
 class TestCurveCsv:
