@@ -21,8 +21,8 @@ _EXPORTS = {  # public name -> the module that defines it
         "CSV_HEADER", "Dataset", "FadingSpec", "LinkBudget", "Sample",
         "budget_from_dict", "fading_draw_db", "features_targets",
         "gen_altitude_waypoints", "gen_distance_sweep", "generate_from_metadata",
-        "metadata_path_for", "read_curve_csv", "read_dataset", "rss_from_path_loss",
-        "split", "write_curve_csv", "write_dataset",
+        "metadata_path_for", "read_curve_csv", "read_dataset", "read_dataset_arrays",
+        "rss_from_path_loss", "split", "write_curve_csv", "write_dataset",
     ), "datagen"),
     **dict.fromkeys((
         "ConfigurationError", "DomainError", "FitError", "SchemaError",

@@ -47,6 +47,8 @@ PLOS = {
 }
 PLOS_MODELS = tuple(PLOS)
 PL_MODELS = ("hata", "a2g_mean")
+# The model names of a config or sidecar key: (what its error calls them, names)
+MODEL_KEYS = {"pl_model": ("path loss", PL_MODELS), "plos_model": ("plos", PLOS_MODELS)}
 
 
 @dataclass(frozen=True)
@@ -493,12 +495,18 @@ def fit_sigmoid(samples: list[tuple[float, float]]) -> tuple[float, float]:
     return best_a, best_b
 
 
+def _check_model(key: str, name) -> None:
+    """ConfigurationError unless name is one of the models of MODEL_KEYS[key]."""
+    kind, names = MODEL_KEYS[key]
+    if name not in names:  # a list or an object is no name, and cannot be hashed
+        raise ConfigurationError(
+            f"unknown {kind} model {name!r}; expected one of {names}"
+        )
+
+
 def _plos_fn(plos_model: str):
     """The PLOS entry of a model name; ConfigurationError if unknown."""
-    if plos_model not in PLOS_MODELS:
-        raise ConfigurationError(
-            f"unknown plos model {plos_model!r}; expected one of {PLOS_MODELS}"
-        )
+    _check_model("plos_model", plos_model)
     return PLOS[plos_model]
 
 
@@ -542,10 +550,7 @@ def _channel_rows(
     DomainError is raised again prefixed "row {i}: ".
     """
     plos_fn = _plos_fn(plos_model)
-    if pl_model not in PL_MODELS:
-        raise ConfigurationError(
-            f"unknown path loss model {pl_model!r}; expected one of {PL_MODELS}"
-        )
+    _check_model("pl_model", pl_model)
     if plos_model == "product":
         # plos_product depends on r only through the building count m,
         # computed here exactly as there (r is finite in a valid row).

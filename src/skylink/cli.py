@@ -44,6 +44,8 @@ LOG_LEVELS = {
 
 FEATURE_HEADER = datagen.CSV_HEADER[2:6]
 
+_PRINT_CHUNK = 4096  # rows per write of predict's output
+
 _MISSING = object()
 
 # The keys of a run config and of its train and curves blocks; the others
@@ -179,10 +181,14 @@ def _scenario_dataset(cfg: RunConfig, kind: str | None = None) -> datagen.Datase
     with cfg.reading("scenario"):
         block = cfg.block("scenario", datagen.SCENARIO_KEYS)
         generate, args = datagen.scenario_layout(kind or block.get("kind"), block)
-    return generate(
-        envs[name], budget=budget, pl_model=cfg.get("pl_model", "a2g_mean"),
-        plos_model=cfg.get("plos_model", "sigmoid"), **args,
-    )
+    models = {"pl_model": cfg.get("pl_model", "a2g_mean")}
+    models["plos_model"] = cfg.get("plos_model", "sigmoid")
+    for key, model in models.items():
+        try:
+            cm._check_model(key, model)
+        except ConfigurationError as exc:
+            raise cfg.fail(key, str(exc)) from None
+    return generate(envs[name], budget=budget, **models, **args)
 
 
 def _config_and_out(args) -> tuple[RunConfig, str]:
@@ -190,6 +196,8 @@ def _config_and_out(args) -> tuple[RunConfig, str]:
     cfg = RunConfig(args.config, args.seed)
     out = cfg.get("out_dir", "out") if args.out is None else args.out
     out = "out" if out is None else out
+    if not isinstance(out, str):
+        raise cfg.fail("out_dir", f"must be a string, got {out!r}")
     with cfg.reading("out_dir"):
         os.makedirs(out, exist_ok=True)
     return cfg, out
@@ -282,7 +290,7 @@ def _predict_features(args) -> np.ndarray:
     rows = datagen._csv_rows(args.input, lambda row: [float(v) for v in row], *headers)
     with contextlib.closing(rows):
         if next(rows)[1] == datagen.CSV_HEADER:  # (comments, header) come first
-            return datagen.features_targets(datagen.read_dataset(args.input))[0]
+            return datagen.read_dataset_arrays(args.input)[0]
         features = list(rows)
     if not features:
         raise SchemaError(f"{args.input}: no data rows")
@@ -306,8 +314,9 @@ def cmd_predict(args) -> int:
             "range; extrapolating",
             int(outside.sum()), features.shape[0],
         )
-    for value in values[:, 0]:
-        print(_fmt(float(value)))
+    lines = [f"{value!r}\n" for value in values[:, 0].tolist()]
+    for start in range(0, len(lines), _PRINT_CHUNK):  # one write per chunk of rows
+        sys.stdout.write("".join(lines[start:start + _PRINT_CHUNK]))
     return 0
 
 
@@ -317,8 +326,7 @@ def cmd_eval(args) -> int:
     from . import rbf_net
 
     net, _ = rbf_net.load_model(args.model)
-    dataset = datagen.read_dataset(args.dataset)
-    x, y = datagen.features_targets(dataset)
+    x, y = datagen.read_dataset_arrays(args.dataset)
     if x.shape[1] != net.input_dim or y.shape[1] != net.output_dim:
         raise DomainError(
             f"model dimensions ({net.input_dim} features, {net.output_dim} "

@@ -618,12 +618,58 @@ def read_dataset(csv_path: str) -> Dataset:
     samples = list(rows)
     if not samples:
         raise SchemaError(f"{csv_path}: no data rows")
-    metadata = {}
+    return Dataset(samples=samples, metadata=_read_sidecar(csv_path))
+
+
+def _read_sidecar(csv_path: str) -> dict:
+    """The dataset's metadata sidecar, parsed; {} if there is none."""
     sidecar = metadata_path_for(csv_path)
-    if os.path.exists(sidecar):
-        with open(sidecar, encoding="utf-8") as fh:
-            metadata = parse_json(fh.read(), sidecar)
-    return Dataset(samples=samples, metadata=metadata)
+    if not os.path.exists(sidecar):
+        return {}
+    with open(sidecar, encoding="utf-8") as fh:
+        return parse_json(fh.read(), sidecar)
+
+
+def read_dataset_arrays(csv_path: str) -> tuple[np.ndarray, np.ndarray]:
+    """features_targets(read_dataset(csv_path)), bit for bit, without a Sample.
+
+    One np.loadtxt call parses the rows; it reads no value otherwise than
+    int() or float(), and rejects some they take (1_0, non-ASCII digits).
+    Another header line, a ValueError or warning of np.loadtxt, or a column
+    failing read_dataset's row checks sends the file to read_dataset, whose
+    error names the line at fault.
+    """
+    import warnings
+
+    import numpy as np
+
+    columns = [("index", "i8"), ("scenario", "i1")]
+    columns += [(name, "f8") for name in CSV_HEADER[2:]]
+    table = np.zeros(0, columns)  # what a file that np.loadtxt rejects leaves
+    with open(csv_path, encoding="utf-8", newline="") as fh:
+        try:
+            line = fh.readline()
+            while line.startswith("#"):
+                line = fh.readline()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # "input contained no data"
+                if line.rstrip("\r\n") == ",".join(CSV_HEADER):  # ends LF, CRLF or CR
+                    table = np.loadtxt(
+                        fh, columns, delimiter=",", quotechar='"', comments=None,
+                        converters={1: lambda scenario: 0}, ndmin=1,
+                    )
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            pass
+    x = np.column_stack([table[name] for name in CSV_HEADER[2:6]])
+    y, plos = table["RSS_dBm"].reshape(-1, 1).copy(), table["PLOS"]
+    index = np.sort(table["index"])  # np.unique would import numpy.ma, ~20 ms
+    if (
+        table.size and np.isfinite(x).all() and np.isfinite(y).all()
+        and ((plos >= 0.0) & (plos <= 1.0)).all() and (index[1:] != index[:-1]).all()
+    ):
+        _read_sidecar(csv_path)  # a malformed sidecar fails as in read_dataset
+        return x, y
+    return features_targets(read_dataset(csv_path))
 
 
 def write_curve_csv(

@@ -20,8 +20,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skylink import (
-    budget_from_dict, cli, fading, gen_distance_sweep, load_environments, load_model,
-    params_from_k, read_curve_csv, read_dataset,
+    budget_from_dict, cli, datagen, fading, features_targets, gen_distance_sweep,
+    load_environments, load_model, params_from_k, read_curve_csv, read_dataset,
 )
 from skylink.cli import RunConfig
 
@@ -420,6 +420,40 @@ def test_environment_file_that_is_no_string_names_its_key(tmp_path, env_file):
         code, stdout, stderr = run_main("generate", "--config", "run.json")
     message = "error: run.json:2: environment_file: must be a string, got 5\n"
     assert (code, stdout, stderr) == (2, "", message)
+
+
+PL_NAMES = "expected one of ('hata', 'a2g_mean')"
+PLOS_NAMES = "expected one of ('product', 'holis', 'sigmoid')"
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("generate", "out_dir", 5, "must be a string, got 5"),
+    ("generate", "out_dir", ["out"], "must be a string, got ['out']"),
+    ("generate", "pl_model", [1], f"unknown path loss model [1]; {PL_NAMES}"),
+    ("generate", "pl_model", {}, f"unknown path loss model {{}}; {PL_NAMES}"),
+    ("generate", "pl_model", "x", f"unknown path loss model 'x'; {PL_NAMES}"),
+    ("generate", "plos_model", [1], f"unknown plos model [1]; {PLOS_NAMES}"),
+    ("generate", "plos_model", {}, f"unknown plos model {{}}; {PLOS_NAMES}"),
+    ("generate", "plos_model", "x", f"unknown plos model 'x'; {PLOS_NAMES}"),
+    (
+        "curves rss_altitude", "pl_model", "hata2",
+        f"unknown path loss model 'hata2'; {PL_NAMES}",
+    ),
+], ids=[
+    "out_dir-int", "out_dir-list", "pl_model-list", "pl_model-object", "pl_model-text",
+    "plos_model-list", "plos_model-object", "plos_model-text", "rss_altitude-pl_model",
+])
+def test_top_level_value_of_the_wrong_kind_names_its_line(
+    tmp_path, env_file, command, key, value, message
+):
+    cfg = base_run_config(env_file)
+    cfg[key] = value
+    write_json(tmp_path / "run.json", cfg)
+    lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+    line = next(i for i, text in enumerate(lines, 1) if text.startswith(f'  "{key}":'))
+    with contextlib.chdir(tmp_path):
+        code, stdout, stderr = run_main(*command.split(), "--config", "run.json")
+    assert (code, stdout, stderr) == (2, "", f"error: run.json:{line}: {key}: {message}\n")
 
 
 # (command, block holding the misspelt key or None for the top level, key)
@@ -985,6 +1019,53 @@ def test_predict_input_skips_leading_comments(small_run, tmp_path, name):
     )
     assert plain[0] == 0
     assert run_main("predict", model, "--input", str(commented)) == plain
+
+
+def no_sample(*args, **kwargs):
+    raise AssertionError("a datagen.Sample was built")
+
+
+@pytest.mark.parametrize("chunk", [cli._PRINT_CHUNK, 7], ids=["one_write", "chunks"])
+def test_model_commands_print_what_the_per_row_loops_printed(
+    small_run, monkeypatch, chunk
+):
+    """On a valid dataset, predict --input and eval build no Sample, and print
+    byte for byte what a print of each prediction's repr and the metrics of
+    features_targets(read_dataset(path)) gave; so does predict on the
+    dataset's D,H,F,P feature CSV. 7 rows a write splits the 30 into 5."""
+    model = str(small_run / "out" / "model.json")
+    dataset = str(small_run / "out" / "dataset.csv")
+    net, _ = load_model(model)
+    x, y = features_targets(read_dataset(dataset))
+    predicted = net.predict(x)
+    want_predict = "".join(f"{float(value)!r}\n" for value in predicted[:, 0])
+    err = predicted.reshape(y.shape) - y
+    want_eval = (
+        f"rmse_db={float(np.sqrt(np.mean(err ** 2)))!r}\n"
+        f"mae_db={float(np.mean(np.abs(err)))!r}\n"
+        f"max_abs_error_db={float(np.max(np.abs(err)))!r}\n"
+    )
+    monkeypatch.setattr(datagen, "Sample", no_sample)
+    monkeypatch.setattr(cli, "_PRINT_CHUNK", chunk)
+    for path in (dataset, str(small_run / "features.csv")):
+        assert run_main("predict", model, "--input", path)[:2] == (0, want_predict)
+    assert run_main("eval", model, dataset)[:2] == (0, want_eval)
+
+
+def test_model_commands_read_the_sidecar_of_a_valid_dataset(
+    small_run, tmp_path, monkeypatch
+):
+    """The array reader parses the sidecar as read_dataset does: a malformed
+    one exits 2 with its position, though the rows themselves are valid."""
+    dataset = tmp_path / "dataset.csv"
+    dataset.write_bytes((small_run / "out" / "dataset.csv").read_bytes())
+    sidecar = tmp_path / "dataset.json"
+    sidecar.write_text("{bad", encoding="utf-8")
+    model = str(small_run / "out" / "model.json")
+    monkeypatch.setattr(datagen, "Sample", no_sample)
+    message = "invalid JSON: Expecting property name enclosed in double quotes"
+    for argv in (["predict", model, "--input", str(dataset)], ["eval", model, str(dataset)]):
+        assert run_main(*argv) == (2, "", f"error: {sidecar}:1:2: {message}\n")
 
 
 class TestPredict:

@@ -44,13 +44,14 @@ from skylink import (
     plos_sigmoid,
     read_curve_csv,
     read_dataset,
+    read_dataset_arrays,
     rss_from_path_loss,
     slant_distance,
     split,
     write_curve_csv,
     write_dataset,
 )
-from skylink import channel_models
+from skylink import channel_models, datagen
 from skylink.datagen import _SEED_CHUNK, _draw_db, _fading_draws_db, scenario_layout
 
 
@@ -829,9 +830,162 @@ class TestDatasetRoundTrip:
             path = Path(tmp) / "data.csv"
             write_dataset(Dataset(samples=samples, metadata={"k": 1}), path)
             back = read_dataset(path)
+            arrays = read_dataset_arrays(path)
+        assert array_bits(arrays) == array_bits(features_targets(back))
         assert back.samples == samples
         assert sample_bits(back.samples) == sample_bits(samples)
         assert back.metadata == {"k": 1}
+
+
+def array_bits(arrays):
+    """Each array's dtype, shape and bytes: tells -0.0 from 0.0 and nan bits."""
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def read_outcome(read, path):
+    """array_bits of read(path), or the type and text of what it raised."""
+    try:
+        return array_bits(read(path))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_readers_agree(text: str, sidecar: str | None = None) -> list:
+    """Write text as a dataset CSV (and sidecar, if given); the array reader
+    must give what the row reader gives. Returns that outcome."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        if sidecar is not None:
+            Path(metadata_path_for(path)).write_text(sidecar, encoding="utf-8")
+        rows = read_outcome(lambda p: features_targets(read_dataset(p)), path)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert read_outcome(read_dataset_arrays, path) == rows
+    assert not caught  # such as np.loadtxt's "input contained no data"
+    return rows
+
+
+HEADER_LINE = ",".join(CSV_HEADER)
+ROW = ["1", "distance_sweep", "200.0", "50.0", "2000.0", "95.25", "0.5", "-65.25"]
+
+
+def row_with(column: str, text: str) -> str:
+    """ROW as a CSV line, with the field of column replaced by text."""
+    fields = list(ROW)
+    fields[CSV_HEADER.index(column)] = text
+    return ",".join(fields)
+
+
+# Lines that stand in for a dataset's middle row, by what they try.
+LINE_FORMS = {
+    "valid": ",".join(ROW),
+    "7_fields": ",".join(ROW[:7]),
+    "9_fields": ",".join(ROW + ["1.0"]),
+    "trailing_comma": ",".join(ROW) + ",",
+    "blank": "",
+    "whitespace_only": " \t",
+    "hash_after_header": "# a note",
+    "hash_with_8_fields": "#" + ",".join(ROW),
+    "scenario_with_comma": row_with("scenario", '"a,b"'),
+    "scenario_with_newline": row_with("scenario", '"two\nlines"'),
+    "scenario_with_quotes": row_with("scenario", '"say ""hi"""'),
+    "quote_inside_a_field": row_with("scenario", 'a"b'),
+    "quoted_number": row_with("D_m", '"200.0"'),
+    "index_1.0": row_with("index", "1.0"),
+    "index_padded": row_with("index", " 7 "),
+    "index_plus": row_with("index", "+3"),
+    "index_underscore": row_with("index", "1_0"),
+    "index_arabic_digit": row_with("index", "\u0663"),
+    "index_past_int64": row_with("index", str(2**63)),
+    "duplicate_index": row_with("index", "0"),
+    "float_underscore": row_with("H_m", "5_0.0"),
+    "float_arabic_digits": row_with("H_m", "\u0665\u0660"),
+    "float_31_digits": row_with("H_m", "50.00000000000000177635683940025"),
+    "float_nan": row_with("PL_dB", "nan"),
+    "float_inf": row_with("RSS_dBm", "-inf"),
+    "float_overflows": row_with("F_MHz", "1e999"),
+    "plos_above_1": row_with("PLOS", "1.5"),
+    "plos_below_0": row_with("PLOS", "-0.25"),
+    "plos_nan": row_with("PLOS", "nan"),
+}
+
+FIRST_ROW = "0,distance_sweep,100.0,50.0,2000.0,90.5,0.75,-60.5"
+LAST_ROW = "2,distance_sweep,300.0,50.0,2000.0,99.0,0.25,-69.0"
+
+
+class TestArrayReader:
+    """read_dataset_arrays gives features_targets(read_dataset(path)), bit for
+    bit, or raises what read_dataset raises; a valid file builds no Sample."""
+
+    @pytest.mark.parametrize("form", LINE_FORMS)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_agrees_with_the_row_reader(self, form, newline):
+        lines = [HEADER_LINE, FIRST_ROW, LINE_FORMS[form], LAST_ROW]
+        assert_readers_agree(newline.join(lines) + newline)
+
+    @pytest.mark.parametrize("text, sidecar", [
+        ('# say "hi"\n#\n' + HEADER_LINE + "\n" + FIRST_ROW + "\n", None),
+        ('"index",scenario,D_m,H_m,F_MHz,PL_dB,PLOS,RSS_dBm\n' + FIRST_ROW, None),
+        ("\n" + HEADER_LINE + "\n" + FIRST_ROW + "\n", None),
+        (HEADER_LINE.replace("RSS_dBm", "RSS") + "\n" + FIRST_ROW + "\n", None),
+    (HEADER_LINE + ",x\n" + FIRST_ROW + "\n", None),
+    (HEADER_LINE + "\n", None),
+        (HEADER_LINE + "\n\n\n", None),
+        (HEADER_LINE + "\n" + FIRST_ROW + "\n", "{bad"),
+        (HEADER_LINE + "\n" + FIRST_ROW + "\n", '{"k": 1}'),
+    ], ids=[
+        "comment_with_quote", "quoted_header", "blank_before_header",
+        "renamed_column", "extra_column", "no_rows",
+        "only_blank_rows", "malformed_sidecar", "sidecar",
+    ])
+    def test_agrees_on_the_whole_file(self, text, sidecar):
+        assert_readers_agree(text, sidecar)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        comments=st.lists(st.sampled_from(["# note", '# say "hi"', "#"]), max_size=2),
+        lines=st.lists(
+            st.one_of(
+                st.tuples(
+                    st.integers(0, 9), FINITE, FINITE, FINITE, FINITE,
+                    st.floats(0.0, 1.0), FINITE,
+                ).map(lambda r: ",".join([
+                    str(r[0]), "distance_sweep", *(repr(v) for v in r[1:])
+                ])),
+                st.sampled_from(list(LINE_FORMS.values())),
+            ),
+            max_size=5,
+        ),
+        newline=st.sampled_from(["\n", "\r\n"]),
+        sidecar=st.sampled_from([None, "{}", "{bad"]),
+    )
+    def test_any_mix_of_rows_agrees(self, comments, lines, newline, sidecar):
+        text = newline.join([*comments, HEADER_LINE, *lines]) + newline
+        assert_readers_agree(text, sidecar)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("form", [
+        "valid", "blank", "scenario_with_comma", "scenario_with_newline",
+        "quoted_number", "index_padded", "index_plus", "float_31_digits",
+    ])
+    def test_valid_file_builds_no_sample(self, tmp_path, monkeypatch, form, newline):
+        lines = ["# note", HEADER_LINE, FIRST_ROW, LINE_FORMS[form], LAST_ROW]
+        path = tmp_path / "data.csv"
+        path.write_bytes((newline.join(lines) + newline).encode())
+        want = array_bits(features_targets(read_dataset(path)))
+        monkeypatch.setattr(datagen, "Sample", None)  # building one raises
+        assert array_bits(read_dataset_arrays(path)) == want
+
+    def test_file_it_rejects_gets_the_row_readers_line_number(self, tmp_path):
+        path = tmp_path / "data.csv"
+        lines = [HEADER_LINE, FIRST_ROW, "", LINE_FORMS["index_1.0"]]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(SchemaError) as excinfo:
+            read_dataset_arrays(path)
+        message = "invalid literal for int() with base 10: '1.0'"
+        assert str(excinfo.value) == f"{path}:4: {message}"
 
 
 class TestScenarioLayout:
