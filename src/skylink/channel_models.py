@@ -22,6 +22,7 @@ from .errors import (
     DomainError,
     FitError,
     SchemaError,
+    open_utf8,
     parse_json,
     require,
     require_finite,
@@ -119,7 +120,7 @@ def load_environments(path: str) -> dict[str, Environment]:
     by environment_from_dict; its schema errors, and a duplicate name, are
     SchemaErrors prefixed with the file and entry index.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         raw = parse_json(fh.read(), path)
     if not isinstance(raw, list):
         raise SchemaError(f"{path}: expected a JSON array of environments")

@@ -29,6 +29,7 @@ from .errors import (
     SchemaError,
     SkylinkError,
     as_numbers,
+    open_utf8,
     parse_json,
     require,
 )
@@ -80,7 +81,7 @@ class RunConfig:
 
     def __init__(self, path: str, seed: int | None = None):
         self.path = path
-        with open(path, encoding="utf-8") as fh:
+        with open_utf8(path) as fh:
             self.text = fh.read()
         self.data = parse_json(self.text, path)
         if not isinstance(self.data, dict):
@@ -214,24 +215,24 @@ def cmd_generate(args) -> int:
 
 
 def _train_model(
-    cfg: RunConfig, dataset: datagen.Dataset, reuse: str | None = None
+    cfg: RunConfig, x: np.ndarray, y: np.ndarray, reuse: str | None = None
 ) -> tuple[rbf_net.RbfNetwork, rbf_net.RbfConfig, rbf_net.TrainReport, str]:
-    """Fit the config's network on its split of ``dataset``: (net, config,
-    report, fit digest). With ``reuse``, a model saved there with the same
-    digest is loaded instead; its report holds only final_val_rmse_db."""
+    """Fit the config's network on its split of the rows of ``(x, y)``: (net,
+    config, report, fit digest). With ``reuse``, a model saved there with the
+    same digest is loaded instead; its report holds only final_val_rmse_db."""
     from . import rbf_net
 
-    with cfg.reading("rbf"):
-        keys = [f.name for f in dataclasses.fields(rbf_net.RbfConfig)]
-        rbf_cfg = rbf_net.RbfConfig(**cfg.block("rbf", keys))
-    with cfg.reading("train"):  # split's rules check the fraction and the seed
+    with cfg.reading("rbf"):  # the arrays set the two widths
+        widths = {"input_dim": x.shape[1], "output_dim": y.shape[1]}
+        keys = {f.name for f in dataclasses.fields(rbf_net.RbfConfig)} - widths.keys()
+        rbf_cfg = rbf_net.RbfConfig(**cfg.block("rbf", keys), **widths)
+    with cfg.reading("train"):  # split_rows' rules check the fraction and the seed
         train = cfg.block("train", TRAIN_KEYS)
-        train_ds, test_ds = datagen.split(
-            dataset, train.get("train_fraction", 0.8),
-            train.get("split_seed", 13),
+        train_rows, test_rows = datagen.split_rows(
+            len(x), train.get("train_fraction", 0.8), train.get("split_seed", 13),
         )
-    x_train, y_train = datagen.features_targets(train_ds)
-    x_test, y_test = datagen.features_targets(test_ds)
+    x_train, x_test = x[train_rows], x[test_rows]
+    y_train, y_test = y[train_rows], y[test_rows]
     digest = rbf_net.fit_digest(rbf_cfg, x_train, y_train, x_test, y_test)
     try:  # a model missing there, malformed or fit otherwise: train afresh
         net = None if reuse is None else rbf_net.load_model(reuse, digest)[0]
@@ -252,8 +253,8 @@ def cmd_train(args) -> int:
     from . import rbf_net
 
     cfg, out = _config_and_out(args)
-    dataset = datagen.read_dataset(args.dataset)
-    net, rbf_cfg, report, digest = _train_model(cfg, dataset)
+    x, y = datagen.read_dataset_arrays(args.dataset)
+    net, rbf_cfg, report, digest = _train_model(cfg, x, y)
     model_path = os.path.join(out, "model.json")
     rbf_net.save_model(model_path, net, rbf_cfg, digest)
     rmse = [
@@ -403,6 +404,9 @@ def _plos_setting(cfg: RunConfig):
         rx_height_m = curves.get("rx_height_m", datagen.DEFAULT_RX_HEIGHT_M)
         rules = {"uav_height_m": "finite and > 0", "rx_height_m": "finite"}
         h, rx = require(ConfigurationError, rules, locals()).values()
+    if not 0.0 <= rx < h:
+        rule = f"need 0 <= rx_height_m < uav_height_m, got {rx!r} and {h!r}"
+        raise cfg.fail("curves", rule)
     return envs, h, rx, f"uav_height_m={_fmt(h)} rx_height_m={_fmt(rx)}"
 
 
@@ -465,8 +469,8 @@ def _curve_rss(cfg: RunConfig, args, out: str):
     kind, axis = _RSS_KINDS[args.which]
     dataset = _scenario_dataset(cfg, kind)
     model_path = os.path.join(out, "model.json")  # train's, if fit the same way
-    net, _, report, _ = _train_model(cfg, dataset, model_path)
     x, y = datagen.features_targets(dataset)
+    net, _, report, _ = _train_model(cfg, x, y, model_path)
     predicted = net.predict(x).reshape(-1)
     header = [FEATURE_HEADER[axis], "rss_empirical_dbm", "rss_predicted_dbm"]
     rows = [

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields
 
 from . import channel_models as cm
 from .errors import ConfigurationError, DomainError, SchemaError
-from .errors import as_numbers, parse_json, require, require_finite
+from .errors import as_numbers, open_utf8, parse_json, require, require_finite
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
 
@@ -484,17 +484,11 @@ def generate_from_metadata(metadata: dict) -> Dataset:
     )
 
 
-def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    """Seeded shuffle-and-partition into train and test datasets.
-
-    Both sides keep the original sample order (by index) and a metadata
-    record of the split; both must be non-empty.
-    """
-    require(
-        ConfigurationError,
-        {"train_fraction": "in (0, 1)", "seed": "int and >= 0"}, locals(),
-    )
-    n = len(dataset.samples)
+def split_rows(n: int, train_fraction: float, seed: int) -> tuple[list[int], list[int]]:
+    """Ascending train and test row numbers of a seeded shuffle of ``n`` rows;
+    both sides must be non-empty."""
+    rules = {"train_fraction": "in (0, 1)", "seed": "int and >= 0"}
+    require(ConfigurationError, rules, locals())
     n_train = int(n * train_fraction)
     if n_train == 0 or n_train == n:
         raise ConfigurationError(
@@ -503,7 +497,13 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, 
     import numpy as np
 
     order = np.random.default_rng(seed).permutation(n)
-    picks = (sorted(order[:n_train].tolist()), sorted(order[n_train:].tolist()))
+    return sorted(order[:n_train].tolist()), sorted(order[n_train:].tolist())
+
+
+def split(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
+    """The train and test datasets of split_rows, each in the original sample
+    order and with a metadata record of the split."""
+    picks = split_rows(len(dataset.samples), train_fraction, seed)
     out = []
     for role, pick in zip(("train", "test"), picks):
         meta = dict(dataset.metadata)
@@ -561,11 +561,11 @@ def write_dataset(dataset: Dataset, csv_path: str) -> str:
 def _csv_rows(path: str, parse, *headers: list[str]):
     """Stream a UTF-8 CSV: (comments, header) first, then parse(row) per data row.
 
-    Leading "#" lines are comments; blank lines are skipped. No header, one
-    that is none of ``headers`` (if any), a ragged row or a ValueError of
-    parse is a SchemaError; all but the first name their path:line.
+    Leading "#" lines are comments; blank lines are skipped. A byte that is not
+    UTF-8, no header, one that is none of ``headers`` (if any), a ragged row or a
+    ValueError of parse is a SchemaError; all but the first two name path:line.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_utf8(path, newline="") as fh:
         comments, line = [], fh.readline()
         while line.startswith("#"):
             comments.append(line[1:].strip())
@@ -626,7 +626,7 @@ def _read_sidecar(csv_path: str) -> dict:
     sidecar = metadata_path_for(csv_path)
     if not os.path.exists(sidecar):
         return {}
-    with open(sidecar, encoding="utf-8") as fh:
+    with open_utf8(sidecar) as fh:
         return parse_json(fh.read(), sidecar)
 
 

@@ -8,6 +8,7 @@ latter to exit code 1.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import numbers
@@ -50,6 +51,16 @@ class TrainingDivergedError(SkylinkError, RuntimeError):
         super().__init__(
             f"training diverged{where}: non-finite values in {parameter_class}"
         )
+
+
+@contextlib.contextmanager
+def open_utf8(path, newline=None):
+    """open(path) as UTF-8 text; a byte that is not UTF-8 is a SchemaError naming it."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def parse_json(text: str, path) -> object:

@@ -256,6 +256,18 @@ class TestEnvironmentConfig:
                 eps_los_db=1.0, eps_nlos_db=20.0,
             )
 
+    @pytest.mark.parametrize("los, nlos", [(-1.0, 20.0), (21.0, 20.0)])
+    def test_excess_losses_out_of_order_rejected(self, los, nlos):
+        with pytest.raises(ConfigurationError) as excinfo:
+            Environment(
+                name="x", alpha=0.3, beta=500.0, gamma=15.0,
+                eps_los_db=los, eps_nlos_db=nlos,
+            )
+        assert str(excinfo.value) == (
+            "environment 'x': need 0 <= eps_los_db <= eps_nlos_db, "
+            f"got {los} and {nlos}"
+        )
+
     @pytest.mark.parametrize("name, value, count", [
         ("c", (1.0, 0.0, 15.0, 12.0), 5), ("sigmoid", (9.61,), 2),
     ])

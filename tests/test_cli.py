@@ -20,8 +20,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from skylink import (
-    budget_from_dict, cli, datagen, fading, features_targets, gen_distance_sweep,
-    load_environments, load_model, params_from_k, read_curve_csv, read_dataset,
+    SchemaError, budget_from_dict, cli, datagen, fading, features_targets,
+    gen_distance_sweep, load_environments, load_model, params_from_k, read_curve_csv,
+    read_dataset,
 )
 from skylink.cli import RunConfig
 
@@ -254,8 +255,13 @@ class TestGenerate:
         ),
         ("name", "sub\nurban", "environment name 'sub\\nurban' must be one line"),
         ("name", "sub\rurban", "environment name 'sub\\rurban' must be one line"),
+        (
+            "eps_los_db", 30.0, "environment 'urban': need 0 <= eps_los_db <= "
+            "eps_nlos_db, got 30.0 and 20.0",
+        ),
     ], ids=[
         "alpha", "name", "alpha_bool", "c_bool", "sigmoid_bool", "name_lf", "name_cr",
+        "eps_order",
     ])
     def test_malformed_environment_entry(self, tmp_path, env_file, key, value, message):
         envs = json.loads(env_file.read_text(encoding="utf-8"))
@@ -304,6 +310,10 @@ WRONG_TYPED = [
     ("curves plos_angle", "curves.uav_height_m", True, "curves"),
     ("generate", "budget.tx_gain_db", 10, "budget"),
     ("curves rician", "curves.rician_points", 1, "curves"),
+    ("curves plos_angle", "curves.rx_height_m", 500.0, "curves"),  # >= uav_height_m
+    ("curves plos_angle", "curves.rx_height_m", -1.0, "curves"),
+    ("curves plos_fit", "curves.rx_height_m", 100.0, "curves"),
+    ("curves plos_fit", "curves.rx_height_m", -1.0, "curves"),
 ]
 
 
@@ -464,6 +474,8 @@ UNKNOWN_KEYS = [
     ("curves plos_fit", "curves", "theta_min"),
     ("curves rss_distance", "train", "train_fractoin"),
     ("curves rss_distance", "rbf", "m_hiden"),
+    ("curves rss_distance", "rbf", "input_dim"),  # the data sets both widths
+    ("curves rss_distance", "rbf", "output_dim"),
 ]
 
 
@@ -886,7 +898,9 @@ def test_fuzzed_csv_never_escapes(small_run, features, mutation, line, column, v
     """One mutation of a dataset or feature CSV ends in an exit code.
 
     train, predict --input and eval read the CSV; each exits 0, 1 or 2, and a
-    non-zero exit ends in an `error:` line. No exception escapes.
+    non-zero exit ends in an `error:` line. No exception escapes. train reads
+    into arrays, but on a file that read_dataset rejects it exits 2 with
+    read_dataset's message, line number included.
     """
     source = small_run / ("features.csv" if features else "out/dataset.csv")
     lines = source.read_bytes().splitlines(keepends=True)
@@ -908,28 +922,51 @@ def test_fuzzed_csv_never_escapes(small_run, features, mutation, line, column, v
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.csv")
         Path(path).write_bytes(b"".join(lines))
+        try:
+            read_dataset(path)
+            rejected = None
+        except SchemaError as exc:
+            rejected = (2, "", f"error: {exc}\n")
         for argv in csv_commands(small_run, path, tmp):
-            code, _, stderr = run_main(*argv)
+            code, stdout, stderr = run_main(*argv)
             assert code in (0, 1, 2)
             if code:
                 assert stderr.splitlines()[-1].startswith("error: ")
+            if argv[0] == "train" and rejected:
+                assert (code, stdout, stderr) == rejected
 
 
-@pytest.mark.parametrize("target", ["config", "dataset", "features"])
+@pytest.mark.parametrize(
+    "target", ["config", "environment", "dataset", "features", "sidecar"]
+)
 def test_non_utf8_file_exits_2(small_run, tmp_path, target):
-    """A user's file that is not UTF-8 gives exit 2 and one `error:` line."""
+    """A user's file that is not UTF-8 gives exit 2 and one `error:` line that
+    starts with the file's path."""
     bad = tmp_path / "bad"
     if target == "config":
         bad.write_bytes(b'{"environment": "\xff"}\n')
         commands = [["generate", "--config", str(bad)]]
+    elif target == "environment":
+        bad.write_bytes(b'[{"name": "\xff"}]\n')
+        cfg = {**fuzz_config(), "environment_file": str(bad)}
+        write_json(tmp_path / "run.json", cfg)
+        run = ["--config", str(tmp_path / "run.json")]
+        commands = [["generate", *run], ["curves", "plos_angle", *run]]
+    elif target == "sidecar":
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_bytes((small_run / "out" / "dataset.csv").read_bytes())
+        bad = tmp_path / "dataset.json"
+        bad.write_bytes(b'{"scenario": "\xff"}\n')
+        commands = csv_commands(small_run, str(dataset), str(tmp_path))
     else:
         name = "out/dataset.csv" if target == "dataset" else "features.csv"
         bad.write_bytes((small_run / name).read_bytes() + b"\xff\n")
         commands = csv_commands(small_run, str(bad), str(tmp_path))
     for argv in commands:
         code, stdout, stderr = run_main(*argv)
-        assert (code, stdout) == (2, "")
-        assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+        assert (code, stdout) == (2, ""), argv
+        assert len(stderr.splitlines()) == 1, argv
+        assert stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode"), argv
 
 
 MODEL_ARRAYS = [
@@ -1050,6 +1087,40 @@ def test_model_commands_print_what_the_per_row_loops_printed(
     for path in (dataset, str(small_run / "features.csv")):
         assert run_main("predict", model, "--input", path)[:2] == (0, want_predict)
     assert run_main("eval", model, dataset)[:2] == (0, want_eval)
+
+
+def test_train_builds_no_sample(small_run, tmp_path, monkeypatch):
+    """On a valid dataset, train reads arrays: with datagen.Sample raising, it
+    writes the model and report and prints what an unpatched run does."""
+    dataset = str(small_run / "out" / "dataset.csv")
+    argv = ["train", "--config", str(small_run / "run.json"), dataset]
+    plain = run_main(*argv, "--out", str(tmp_path))
+    names = ("model.json", "training_report.csv")
+    files = {name: (tmp_path / name).read_bytes() for name in names}
+    for name in names:
+        (tmp_path / name).unlink()
+    monkeypatch.setattr(datagen, "Sample", no_sample)
+    assert plain[0] == 0 and run_main(*argv, "--out", str(tmp_path)) == plain
+    assert {name: (tmp_path / name).read_bytes() for name in names} == files
+
+
+def test_train_fits_the_two_sides_of_split(small_run, tmp_path):
+    """train's model.json is the one the library fits on split()'s sides."""
+    from skylink import rbf_net
+
+    cfg = fuzz_config()
+    dataset = read_dataset(small_run / "out" / "dataset.csv")
+    block = cfg["train"]
+    sides = datagen.split(dataset, block["train_fraction"], block["split_seed"])
+    (x, y), validation = (features_targets(side) for side in sides)
+    config = rbf_net.RbfConfig(**cfg["rbf"])
+    net, _ = rbf_net.train(
+        rbf_net.init_network(config, x), x, y, config, validation=validation
+    )
+    digest = rbf_net.fit_digest(config, x, y, *validation)
+    rbf_net.save_model(tmp_path / "model.json", net, config, digest)
+    want = (small_run / "out" / "model.json").read_bytes()
+    assert (tmp_path / "model.json").read_bytes() == want
 
 
 def test_model_commands_read_the_sidecar_of_a_valid_dataset(

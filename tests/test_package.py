@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
+import dataclasses
 import importlib
+import io
 import inspect
 import re
 import subprocess
@@ -28,6 +31,8 @@ SOURCES = sorted(
 
 def test_all_exports_no_modules():
     assert len(set(skylink.__all__)) == len(skylink.__all__)
+    names = dir(skylink)
+    assert names == sorted(names) and {*skylink.__all__, "__version__"} <= set(names)
     for name in skylink.__all__:
         assert not isinstance(getattr(skylink, name), types.ModuleType), name
     for module in ("channel_models", "datagen", "errors", "fading", "rbf_net"):
@@ -182,6 +187,44 @@ def test_readme_lists_every_curve_and_curves_key():
     }
     assert read == set(cli.CURVE_KEYS)
     assert set(re.findall(r"`(\w+)`", row.split("|")[2])) == read
+
+
+def test_readme_lists_the_keys_of_the_rbf_and_train_blocks(tmp_path, env_file):
+    """README's `rbf` and `train` rows list the keys that train reads: each
+    listed key is accepted, and each other RbfConfig field is rejected."""
+    text = README.read_text(encoding="utf-8")
+    listed = {
+        block: re.findall(r"`(\w+)`", next(
+            line for line in text.splitlines() if line.startswith(f"| `{block}` |")
+        ).split("|")[2])
+        for block in ("rbf", "train")
+    }
+    fields = {f.name: f.default for f in dataclasses.fields(skylink.RbfConfig)}
+    values = {**fields, "epochs": 2, "train_fraction": 0.8, "split_seed": 13}
+    cfg = base_run_config(env_file)
+    cfg["scenario"]["distances_m"]["count"] = 30
+
+    def train(block: str, key: str) -> tuple[int, str]:
+        """train's exit code and stderr, with only ``key`` set in ``block``
+        (and rbf.epochs at 2)."""
+        cfg["rbf"], cfg["train"] = {"epochs": 2}, {}
+        cfg[block][key] = values[key]
+        write_json(tmp_path / "run.json", cfg)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):  # stdout: redirected by the caller
+            code = cli.main(["train", "--config", "run.json", "out/dataset.csv"])
+        return code, stderr.getvalue()
+
+    with contextlib.chdir(tmp_path), contextlib.redirect_stdout(io.StringIO()):
+        write_json(tmp_path / "run.json", cfg)
+        assert cli.main(["generate", "--config", "run.json"]) == 0
+        for block, keys in listed.items():
+            for key in keys:
+                assert train(block, key) == (0, ""), (block, key)
+        for key in fields.keys() - set(listed["rbf"]):
+            code, stderr = train("rbf", key)
+            assert code == 2, key
+            assert stderr.endswith(f": rbf: malformed value: unknown keys [{key!r}]\n")
 
 
 def command_options() -> dict[str, set[str]]:
