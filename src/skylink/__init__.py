@@ -1,7 +1,7 @@
 """UAV-to-ground channel models, Rician fading, and RBF-network RSS prediction.
 
-Public names load their module on first use (PEP 562), so a command that
-needs no array code starts without importing numpy.
+Public names load their module on first use (PEP 562), and the CLI imports each
+module in the functions that call it, so a command loads only what it runs.
 """
 
 __version__ = "0.1.0"

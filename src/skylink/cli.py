@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
-import hashlib
 import json
 import logging
 import os
@@ -20,8 +18,6 @@ import re
 import sys
 
 from . import __version__
-from . import channel_models as cm
-from . import datagen
 from .errors import (
     ConfigurationError,
     DomainError,
@@ -42,8 +38,6 @@ LOG_LEVELS = {
     "info": logging.INFO,
     "debug": logging.DEBUG,
 }
-
-FEATURE_HEADER = datagen.CSV_HEADER[2:6]
 
 _PRINT_CHUNK = 4096  # rows per write of predict's output
 
@@ -148,6 +142,8 @@ class RunConfig:
             raise self.fail(key, f"malformed value: {exc}") from exc
 
     def sha256(self) -> str:
+        import hashlib
+
         canonical = json.dumps(
             self.data, sort_keys=True, separators=(",", ":")
         ).encode()
@@ -159,6 +155,8 @@ def _fmt(value: float) -> str:
 
 
 def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
+    from . import channel_models as cm
+
     env_file = cfg.get("environment_file")  # relative to the config's directory
     if not isinstance(env_file, str):
         raise cfg.fail("environment_file", f"must be a string, got {env_file!r}")
@@ -173,6 +171,8 @@ def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
 
 def _scenario_dataset(cfg: RunConfig, kind: str | None = None) -> datagen.Dataset:
     """The config's scenario, as its own kind or as ``kind`` from the same block."""
+    from . import channel_models as cm, datagen
+
     envs = _load_environments(cfg)
     name = cfg.get("environment")
     if not isinstance(name, str) or name not in envs:
@@ -205,6 +205,8 @@ def _config_and_out(args) -> tuple[RunConfig, str]:
 
 
 def cmd_generate(args) -> int:
+    from . import datagen
+
     cfg, out = _config_and_out(args)
     dataset = _scenario_dataset(cfg)
     csv_path = os.path.join(out, "dataset.csv")
@@ -220,7 +222,9 @@ def _train_model(
     """Fit the config's network on its split of the rows of ``(x, y)``: (net,
     config, report, fit digest). With ``reuse``, a model saved there with the
     same digest is loaded instead; its report holds only final_val_rmse_db."""
-    from . import rbf_net
+    import dataclasses
+
+    from . import datagen, rbf_net
 
     with cfg.reading("rbf"):  # the arrays set the two widths
         widths = {"input_dim": x.shape[1], "output_dim": y.shape[1]}
@@ -250,7 +254,7 @@ def _train_model(
 
 
 def cmd_train(args) -> int:
-    from . import rbf_net
+    from . import datagen, rbf_net
 
     cfg, out = _config_and_out(args)
     x, y = datagen.read_dataset_arrays(args.dataset)
@@ -287,7 +291,9 @@ def _predict_features(args) -> np.ndarray:
         except ValueError as exc:
             raise DomainError(f"--row must be comma-separated numbers: {exc}")
         return np.array([values], dtype=float)
-    headers = FEATURE_HEADER, datagen.CSV_HEADER
+    from . import datagen
+
+    headers = datagen.CSV_HEADER[2:6], datagen.CSV_HEADER
     rows = datagen._csv_rows(args.input, lambda row: [float(v) for v in row], *headers)
     with contextlib.closing(rows):
         if next(rows)[1] == datagen.CSV_HEADER:  # (comments, header) come first
@@ -324,7 +330,7 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from . import rbf_net
+    from . import datagen, rbf_net
 
     net, _ = rbf_net.load_model(args.model)
     x, y = datagen.read_dataset_arrays(args.dataset)
@@ -346,6 +352,8 @@ def cmd_eval(args) -> int:
 
 def _write_curve(cfg: RunConfig, out: str, stem: str, notes, header, rows) -> str:
     """Write out/<stem>.csv, provenance line first, stem made file-safe; its path."""
+    from . import datagen
+
     path = os.path.join(out, re.sub(r"[^A-Za-z0-9._-]", "_", stem) + ".csv")
     comments = [f"skylink {__version__} config_sha256={cfg.sha256()}", *notes]
     datagen.write_curve_csv(path, comments, header, rows)
@@ -397,6 +405,8 @@ def _curve_rician(cfg: RunConfig, args, out: str):
 
 def _plos_setting(cfg: RunConfig):
     """Environments, UAV and receiver heights of the P_LoS curves, and a note."""
+    from . import datagen
+
     envs = _load_environments(cfg)
     with cfg.reading("curves"):
         curves = cfg.block("curves", CURVE_KEYS)
@@ -411,6 +421,8 @@ def _plos_setting(cfg: RunConfig):
 
 
 def _curve_plos_angle(cfg: RunConfig, args, out: str):
+    from . import channel_models as cm
+
     envs, h, rx, heights = _plos_setting(cfg)
     thetas = [float(t) for t in range(0, 91)]
     for env in envs.values():
@@ -430,7 +442,11 @@ def _curve_plos_angle(cfg: RunConfig, args, out: str):
 
 
 def _curve_plos_fit(cfg: RunConfig, args, out: str):
+    import dataclasses
+
     import numpy as np
+
+    from . import channel_models as cm
 
     envs, h, rx, heights = _plos_setting(cfg)
     with cfg.reading("curves"):
@@ -466,13 +482,15 @@ _RSS_KINDS = {  # curve -> (scenario kind, feature column along the x axis)
 
 
 def _curve_rss(cfg: RunConfig, args, out: str):
+    from . import datagen
+
     kind, axis = _RSS_KINDS[args.which]
     dataset = _scenario_dataset(cfg, kind)
     model_path = os.path.join(out, "model.json")  # train's, if fit the same way
     x, y = datagen.features_targets(dataset)
     net, _, report, _ = _train_model(cfg, x, y, model_path)
     predicted = net.predict(x).reshape(-1)
-    header = [FEATURE_HEADER[axis], "rss_empirical_dbm", "rss_predicted_dbm"]
+    header = [datagen.CSV_HEADER[2 + axis], "rss_empirical_dbm", "rss_predicted_dbm"]
     rows = [
         [float(x[i, axis]), float(y[i, 0]), float(predicted[i])]
         for i in range(x.shape[0])
@@ -496,6 +514,8 @@ CURVES = {
 
 
 def cmd_curves(args) -> int:
+    from . import datagen  # noqa: F401  compiled before any rows exist, not at the peak
+
     cfg, out = _config_and_out(args)
     for curve in CURVES[args.which](cfg, args, out):
         print(f"wrote {_write_curve(cfg, out, *curve)}")
@@ -547,10 +567,7 @@ def main(argv=None) -> int:
     _setup_logging()
     try:
         return args.func(args)
-    except (
-        SchemaError, ConfigurationError, DomainError, FileNotFoundError,
-        UnicodeDecodeError,
-    ) as exc:
+    except (SchemaError, ConfigurationError, DomainError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SkylinkError, OSError, MemoryError) as exc:

@@ -25,7 +25,6 @@ import os
 import sys
 from dataclasses import dataclass, field, fields
 
-from . import channel_models as cm
 from .errors import ConfigurationError, DomainError, SchemaError
 from .errors import as_numbers, open_utf8, parse_json, require, require_finite
 
@@ -309,6 +308,8 @@ def _generate(
     layout holds the scenario's own metadata keys. The key order is the
     sidecar's bytes: scenario, environment, layout, then the shared keys.
     """
+    from . import channel_models as cm
+
     require(ConfigurationError, {"rx_height_m": "finite and >= 0"}, locals())
     budget = LinkBudget() if budget is None else budget
     metadata = {
@@ -476,6 +477,8 @@ def scenario_layout(kind: str, block: dict) -> tuple:
 
 def generate_from_metadata(metadata: dict) -> Dataset:
     """Rebuild a dataset from a metadata sidecar; bit-identical output."""
+    from . import channel_models as cm
+
     generate, args = scenario_layout(metadata.get("scenario"), metadata)
     return generate(
         cm.environment_from_dict(metadata["environment"]),

@@ -24,7 +24,6 @@ tests/test_rbf_net.py do.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -36,6 +35,7 @@ from .errors import (
     DomainError,
     SchemaError,
     TrainingDivergedError,
+    open_utf8,
     parse_json,
     require,
 )
@@ -355,8 +355,8 @@ def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, sq: np.ndarray) -> Non
             _, w, centers, spans = cur
             block, w1, centers1, spans1 = nxt
             diff, neg_q, z = _activations(centers, spans, X[i])
-            e = Y[i] - w @ z
-            coef = e @ w  # coef_j = sum_k e_k W_kj
+            e = Y[i] - w.dot(z)  # the BLAS call of @, without its dispatch
+            coef = e.dot(w)  # coef_j = sum_k e_k W_kj
             if w_rate != 0.0:
                 np.add(w, w_rate * (e[:, None] * z), out=w1)
             if tau_mu != 0.0:
@@ -515,6 +515,8 @@ def fit_digest(config: RbfConfig, *arrays: np.ndarray) -> str:
     """SHA-256 of what fixes a fit: the arrays (shape and bytes), the config
     echo, the package, model format and numpy versions, and this module's
     source, so an edit to training that bumps no version changes it too."""
+    import hashlib
+
     from . import __version__
 
     echo = [asdict(config), __version__, MODEL_FORMAT_VERSION, np.__version__]
@@ -553,7 +555,7 @@ def save_model(
 def load_model(path: str, digest: str | None = None) -> tuple[RbfNetwork, RbfConfig]:
     """Load a model JSON written by save_model; schema-checked. With
     ``digest``, a document whose fit_digest differs is a SchemaError."""
-    with open(path, encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         doc = parse_json(fh.read(), path)
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: model document must be a JSON object")

@@ -937,7 +937,7 @@ def test_fuzzed_csv_never_escapes(small_run, features, mutation, line, column, v
 
 
 @pytest.mark.parametrize(
-    "target", ["config", "environment", "dataset", "features", "sidecar"]
+    "target", ["config", "environment", "dataset", "features", "sidecar", "model"]
 )
 def test_non_utf8_file_exits_2(small_run, tmp_path, target):
     """A user's file that is not UTF-8 gives exit 2 and one `error:` line that
@@ -958,6 +958,12 @@ def test_non_utf8_file_exits_2(small_run, tmp_path, target):
         bad = tmp_path / "dataset.json"
         bad.write_bytes(b'{"scenario": "\xff"}\n')
         commands = csv_commands(small_run, str(dataset), str(tmp_path))
+    elif target == "model":
+        bad.write_bytes(b"\xff" + (small_run / "out" / "model.json").read_bytes())
+        commands = [
+            ["predict", str(bad), "--row", "1,2,3,4"],
+            ["eval", str(bad), str(small_run / "out" / "dataset.csv")],
+        ]
     else:
         name = "out/dataset.csv" if target == "dataset" else "features.csv"
         bad.write_bytes((small_run / name).read_bytes() + b"\xff\n")

@@ -94,8 +94,18 @@ def test_only_fading_and_rbf_net_import_numpy_at_module_level():
     assert not loading - direct, loading
 
 
-# Runs one CLI command in this process; prints its exit code and whether numpy
-# got imported.
+def test_cli_and_datagen_import_no_other_layer_at_module_level():
+    """cli and datagen import every other layer but errors in the functions
+    that use it, so a command compiles only the layers it runs."""
+    layers = {path.stem for path in SOURCES} - {"errors"}
+    for name in ("cli", "datagen"):
+        path = Path(skylink.__file__).parent / f"{name}.py"
+        found = module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
+        assert not found & layers, (name, found & layers)
+
+
+# Runs one CLI command in this process; prints its exit code, whether numpy and
+# hashlib got imported, and the skylink modules it loaded.
 PROBE = """
 import sys
 from skylink import cli
@@ -103,29 +113,46 @@ try:
     code = cli.main(sys.argv[1:])
 except SystemExit as exc:  # --version
     code = exc.code
-print(code, "numpy" in sys.modules)
+print(code, "numpy" in sys.modules, "hashlib" in sys.modules)
+print(*sorted(name for name in sys.modules if name.split(".")[0] == "skylink"))
 """
 
+CM, DG, FD, RBF = "channel_models", "datagen", "fading", "rbf_net"
 
-@pytest.mark.parametrize("argv, fading, numpy_loaded", [
-    (["--version"], "off", False),
-    (["generate"], "off", False),
-    (["curves", "plos_angle"], "off", False),
-    (["generate"], "rician", True),
-    (["curves", "plos_fit"], "off", True),
+
+@pytest.mark.parametrize("argv, fading, numpy_loaded, hashlib_loaded, layers", [
+    (["--version"], "off", False, False, []),
+    (["generate"], "off", False, False, [CM, DG]),
+    (["generate"], "rician", True, True, [CM, DG, FD]),  # numpy.random: hashlib
+    (["train", "out/dataset.csv"], "off", True, True, [DG, RBF]),
+    (["predict", "out/model.json", "--row", "500,100,2000,110"], "off", True, False,
+     [RBF]),
+    (["predict", "out/model.json", "--input", "out/dataset.csv"], "off", True, False,
+     [DG, RBF]),
+    (["eval", "out/model.json", "out/dataset.csv"], "off", True, False, [DG, RBF]),
+    (["curves", "rician"], "off", True, True, [DG, FD]),
+    (["curves", "plos_angle"], "off", False, True, [CM, DG]),
+    (["curves", "plos_fit"], "off", True, True, [CM, DG]),
+    (["curves", "rss_distance"], "off", True, True, [CM, DG, RBF]),
+    (["curves", "rss_altitude"], "off", True, True, [CM, DG, RBF]),
 ])
-def test_numpy_loads_only_for_commands_that_use_it(
-    tmp_path, env_file, argv, fading, numpy_loaded
+def test_each_command_loads_only_the_modules_it_runs(
+    tmp_path, env_file, argv, fading, numpy_loaded, hashlib_loaded, layers
 ):
-    """The scalar commands start without numpy; the ones that call it load it
-    where they use it, and still work."""
+    """Each command imports numpy, hashlib and the skylink layers only if it
+    calls them, and still works: --version compiles no layer, and train,
+    predict and eval skip channel_models."""
     cfg = base_run_config(env_file)  # a {start, stop, count} distance sweep
     cfg["budget"]["fading"] = (
         {"kind": "rician", "s": 1.0, "delta": 0.5} if fading == "rician"
         else {"kind": "off"}
     )
     write_json(tmp_path / "run.json", cfg)
-    if argv != ["--version"]:
+    if argv[0] in ("train", "predict", "eval"):  # the inputs, made in this process
+        with contextlib.chdir(tmp_path), contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", "--config", "run.json"]) == 0
+            assert cli.main(["train", "--config", "run.json", "out/dataset.csv"]) == 0
+    if argv[0] in ("generate", "train", "curves"):
         argv = [*argv, "--config", "run.json"]
     proc = subprocess.run(
         [sys.executable, "-c", PROBE, *argv],
@@ -133,7 +160,9 @@ def test_numpy_loads_only_for_commands_that_use_it(
     )
     assert proc.stderr == ""
     lines = proc.stdout.splitlines()
-    assert lines[-1] == f"0 {numpy_loaded}"
+    assert lines[-2] == f"0 {numpy_loaded} {hashlib_loaded}"
+    loaded = {"skylink", "skylink.cli", "skylink.errors"}
+    assert lines[-1].split() == sorted(loaded | {f"skylink.{m}" for m in layers})
     if argv[0] == "generate":
         assert lines[0] == f"wrote 60 rows to {Path('out', 'dataset.csv')}"
 
