@@ -392,10 +392,10 @@ def _curve_rician(cfg: RunConfig, args, out: str):
                     f"rician_k[{i}] must keep K in float range, got {k!r}"
                 ) from None
             kparams = fading.params_from_k(k_linear)  # names a negative K
-            columns.append(fading.rician_pdf(kparams, grid).tolist())
+            columns.append(fading.rician_pdf(kparams, grid))
         labels.append(f"K={k:g}{unit}" + (" (Rayleigh)" if kparams.s == 0.0 else ""))
     header = ["r"] + [f"pdf_K{k:g}{unit}" for k in k_list]
-    rows = list(zip(grid.tolist(), *columns))
+    rows = np.column_stack([grid, *columns])
     notes = [
         "amplitude density, unit mean power per series",
         "series: " + ", ".join(labels),

@@ -29,6 +29,7 @@ from .errors import ConfigurationError, DomainError, SchemaError
 from .errors import as_numbers, open_utf8, parse_json, require, require_finite
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
+CURVE_CHUNK = 256  # rows per write of write_curve_csv
 
 FADING_KEYS = {"off": (), "rician": ("s", "delta"), "gaussian_shadow": ("sigma_db",)}
 
@@ -678,16 +679,21 @@ def read_dataset_arrays(csv_path: str) -> tuple[np.ndarray, np.ndarray]:
 def write_curve_csv(
     path: str, comments: list[str], header: list[str], rows: list[list]
 ) -> None:
-    """Plot-ready CSV with #-prefixed comment lines before the header."""
+    """Plot-ready CSV with #-prefixed comment lines before the header. rows, a
+    list of rows or a 2-D array, go CURVE_CHUNK at a time, ints and floats as repr()."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([
-                repr(float(v)) if isinstance(v, float) else v for v in row
-            ])
+        for start in range(0, len(rows), CURVE_CHUNK):
+            chunk = rows[start:start + CURVE_CHUNK]
+            chunk = chunk.tolist() if hasattr(chunk, "tolist") else chunk
+            if set(map(type, itertools.chain.from_iterable(chunk))) <= {int, float}:
+                fh.write("".join(",".join(map(repr, row)) + "\n" for row in chunk))
+            else:  # numpy floats, strings and other cells, as csv.writer has them
+                writer.writerows([repr(float(v)) if isinstance(v, float) else v
+                                  for v in row] for row in chunk)
 
 
 def read_curve_csv(path: str) -> tuple[list[str], list[str], list[list[float]]]:

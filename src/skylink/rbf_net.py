@@ -12,14 +12,14 @@ whose center update divides by delta_j instead of delta_j^2; it is retained
 for comparison experiments. Features and targets are min-max normalized to
 [0, 1]; statistics come from the training split only.
 
-Training packs the parameters into one (K + d + 1, m) block for K outputs,
-d inputs and m hidden units: K weight rows, d center-coordinate rows and one
-span row. The step kernel reads one copy of the block and writes the other.
-Training, predict and the gradient check share one hidden-layer routine.
-The floating-point operations of that routine and of the step, in order,
-are the artifact contract: model.json, training_report.csv and predictions
-stay byte-identical only while they evaluate as the reference loops in
-tests/test_rbf_net.py do.
+Training packs the parameters into one (K + d + 1, m) block for K outputs, d
+inputs and m hidden units: K weight rows, the (d, m) centers and one span
+row. The step kernel reads one copy of the block and writes the other.
+Training, predict and the gradient check share one hidden-layer routine on
+(d, m) centers, which sums squares on an (m, d) copy for d >= 8. That
+routine and the step, operation by operation, are the artifact contract:
+model.json, training_report.csv and predictions stay byte-identical only
+while they evaluate as the reference loops in tests/test_rbf_net.py do.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ UPDATE_MODES = ("derived_gradient", "paper_literal")
 
 MODEL_FORMAT_VERSION = 1
 
-PREDICT_CHUNK = 128  # rows per (rows, m, d) temporary in predict; bounds peak RSS
+PREDICT_CHUNK = 128  # rows per (rows, d, m) temporary in predict; bounds peak RSS
 
 
 @dataclass
@@ -198,7 +198,7 @@ class RbfNetwork:
         """Gaussian unit responses z_j in (0, 1] for a normalized input."""
         x = self._check_x(x)
         with np.errstate(over="ignore"):
-            _, neg_q, z = _activations(self.centers, self.spans, x)
+            _, neg_q, z = _activations(self.centers.T, self.spans, x.T)
         _check_reach(neg_q[None], x, x)
         return z
 
@@ -219,7 +219,7 @@ class RbfNetwork:
         with np.errstate(over="ignore", invalid="ignore"):  # out is checked whole
             for start in range(0, rows.shape[0], PREDICT_CHUNK):
                 xn = self.norm.normalize_features(rows[start:start + PREDICT_CHUNK])
-                _, neg_q, z = _activations(self.centers, self.spans, xn[:, None, :])
+                _, neg_q, z = _activations(self.centers.T, self.spans, xn[:, :, None])
                 _check_reach(neg_q, xn, rows, start)
                 # each item is one row's (K, m) @ (m, 1) product W @ z, the BLAS
                 # call of a lone row; a stacked Z @ W.T would sum in another order
@@ -319,52 +319,56 @@ def _check_reach(neg_q, xn, raw, start: int = 0) -> None:
         )
 
 
-def _activations(centers, spans, x) -> tuple:
+def _activations(centers, spans, x, neg2=-2.0) -> tuple:
     """Hidden-layer terms (diff, -q, z), -q = ln z: the one place z is computed.
 
-    x is one normalized input shaped (1, d) or a batch shaped (n, 1, d).
-    diff is C-ordered even for the block's transposed centers: the row sums
-    of an F-ordered array run in another order once d >= 8. And
-    s / -(2 delta^2) equals -(s / (2 delta^2)) in every bit.
+    centers is (d, m), the block's layout; x is a normalized (d, 1) column or
+    a batch (n, d, 1). numpy sums 8+ contiguous terms pairwise, so for d >= 8
+    the squares sum on a C-ordered (..., m, d) copy, as the reference's rows
+    do. neg2 is -2.0 or a row of it: s / -(2 delta^2) is -(s / (2 delta^2)).
     """
-    diff = np.subtract(x, centers, order="C")
-    neg_q = np.add.reduce(diff * diff, -1) / (-2.0 * spans * spans)
+    diff = x - centers
+    sq = diff * diff
+    sq, axis = (sq, -2) if len(centers) < 8 else (sq.swapaxes(-1, -2).copy(), -1)
+    neg_q = np.add.reduce(sq, axis) / (neg2 * spans * spans)
     return diff, neg_q, np.exp(neg_q)
 
 
 def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, sq: np.ndarray) -> None:
-    """Per-sample SGD over (1, d) rows ``order`` of X and rows of Y.
+    """Per-sample SGD over (d, 1) columns ``order`` of X and rows of Y.
 
     sq[i] gets e @ e before row i's update. Works on two C-ordered copies of
     the packed block: a step reads one and writes the other with ``out=``,
-    then they swap. Zero-rate classes are never written, so they stay exact
-    and out of divergence blame (0 * inf is nan). The current block goes back
-    into ``net`` on exit, so after a divergence ``net`` holds the last finite
-    parameters.
+    then they swap. Rates, -2 and the span floor are rows of m entries: numpy
+    multiplies two arrays faster than a float and an array. Zero-rate classes
+    are never written, so they stay exact and out of divergence blame (0 * inf
+    is nan). The current block goes back into ``net`` on exit, so after a
+    divergence ``net`` holds the last finite parameters.
     """
-    k, d = net.output_dim, net.input_dim
-    blocks = np.empty((2, k + d + 1, net.m_hidden))
+    k, d, m = net.output_dim, net.input_dim, net.m_hidden
+    blocks = np.empty((2, k + d + 1, m))
     blocks[:] = np.concatenate([net.weights, net.centers.T, net.spans[None, :]])
-    cur, nxt = ((b, b[:k], b[k:k + d].T, b[k + d]) for b in blocks)
+    cur, nxt = ((b, b[:k], b[k:k + d], b[k + d]) for b in blocks)
     derived = config.update_mode == "derived_gradient"
-    w_rate = (1.0 if derived else -1.0) * config.tau_w
-    tau_mu = config.tau_mu
-    span_rate = 2.0 * config.effective_tau_delta
+    rates = [(1.0 if derived else -1.0) * config.tau_w, config.tau_mu]
+    rates += [2.0 * config.effective_tau_delta, -2.0, SPAN_FLOOR]
+    w_on, mu_on, span_on = (rate != 0.0 for rate in rates[:3])
+    w_rate, tau_mu, span_rate, neg2, floor = np.array([[v] * m for v in rates])
     try:
         for i in order:
             _, w, centers, spans = cur
             block, w1, centers1, spans1 = nxt
-            diff, neg_q, z = _activations(centers, spans, X[i])
+            diff, neg_q, z = _activations(centers, spans, X[i], neg2)
             e = Y[i] - w.dot(z)  # the BLAS call of @, without its dispatch
             coef = e.dot(w)  # coef_j = sum_k e_k W_kj
-            if w_rate != 0.0:
+            if w_on:
                 np.add(w, w_rate * (e[:, None] * z), out=w1)
-            if tau_mu != 0.0:
+            if mu_on:
                 rate = z / (spans * spans) if derived else z / spans
-                np.add(centers, tau_mu * (rate * coef)[:, None] * diff, out=centers1)
-            if span_rate != 0.0:
+                np.add(centers, tau_mu * (rate * coef) * diff, out=centers1)
+            if span_on:
                 step = spans - span_rate * (z / spans) * neg_q * coef
-                np.maximum(step, SPAN_FLOOR, out=spans1)
+                np.maximum(step, floor, out=spans1)
             # a finite sum proves every entry finite; a sum that overflows
             # on finite entries is no divergence
             if not math.isfinite(block.sum()):
@@ -375,7 +379,7 @@ def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, sq: np.ndarray) -> Non
             cur, nxt = nxt, cur
     finally:
         _, w, centers, spans = cur
-        net.weights, net.centers, net.spans = w.copy(), centers.copy(), spans.copy()
+        net.weights, net.centers, net.spans = w.copy(), centers.T.copy(), spans.copy()
 
 
 def train_step(
@@ -394,7 +398,7 @@ def train_step(
     updates read the pre-step state; spans are floored at 1e-6 afterwards.
     """
     d = _checked([d], (1, net.output_dim), "target", DomainError)[0]
-    _sgd(net, [net._check_x(x)], [d], (0,), config, np.empty(1))
+    _sgd(net, [net._check_x(x).T], [d], (0,), config, np.empty(1))
     return net
 
 
@@ -436,7 +440,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     report = TrainReport()
     sq = np.empty(X.shape[0])
-    rows, targets = list(Xn[:, None, :]), list(Yn)  # lists index cheaper per step
+    rows, targets = list(Xn[:, :, None]), list(Yn)  # lists index cheaper per step
     with np.errstate(over="ignore", invalid="ignore"):  # _sgd checks each step
         for epoch in range(config.epochs):
             order = rng.permutation(X.shape[0]).tolist()
@@ -478,14 +482,14 @@ def gradient_check(
     if not (1e-9 < epsilon < 1e-3):
         raise DomainError(f"epsilon must be in (1e-9, 1e-3), got {epsilon}")
     x, d = sample
-    x = net._check_x(x)
+    x = net._check_x(x).T
     d = np.asarray(d, dtype=float)
     spans = net.spans
-    diff, neg_q, z = _activations(net.centers, spans, x)
+    diff, neg_q, z = _activations(net.centers.T, spans, x)
     e = d - net.weights @ z
     coef = e @ net.weights
     g_w = -np.outer(e, z)
-    g_mu = -((z / (spans * spans)) * coef)[:, None] * diff
+    g_mu = (-((z / (spans * spans)) * coef) * diff).T
     g_delta = (2.0 * z / spans) * neg_q * coef
 
     worst = 0.0
@@ -495,7 +499,7 @@ def gradient_check(
         orig, sides = arr[index], []  # E = 1/2 e @ e at orig + epsilon, - epsilon
         for step in (epsilon, -epsilon):
             arr[index] = orig + step
-            e = d - work.weights @ _activations(work.centers, work.spans, x)[2]
+            e = d - work.weights @ _activations(work.centers.T, work.spans, x)[2]
             sides.append(0.5 * float(e @ e))
         arr[index] = orig
         return (sides[0] - sides[1]) / (2.0 * epsilon)

@@ -1189,6 +1189,38 @@ class TestCurveCsv:
             with pytest.raises(SchemaError, match=error):
                 read_curve_csv(path)
 
+    @staticmethod
+    def csv_writer_bytes(comments, header, rows) -> bytes:
+        """The curve file as one csv.writer call per row writes it."""
+        out = io.StringIO(newline="")
+        for line in comments:
+            out.write(f"# {line}\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([
+                repr(float(v)) if isinstance(v, float) else v for v in row
+            ])
+        return out.getvalue().encode("utf-8")
+
+    @pytest.mark.parametrize("n", [
+        0, 1, datagen.CURVE_CHUNK - 1, datagen.CURVE_CHUNK, datagen.CURVE_CHUNK + 1,
+    ])
+    @pytest.mark.parametrize("kind", ["numbers", "numpy floats", "array", "mixed"])
+    def test_bytes_equal_csv_writer(self, tmp_path, kind, n):
+        cells = [0, -7, 2**70, 0.1, -0.0, 5e-324, 1e300, -1.5e-300, math.pi]
+        rows = [[cells[(i + j) % len(cells)] for j in range(4)] for i in range(n)]
+        if kind == "numpy floats":  # float subclasses, written as repr(float(v))
+            rows = [[np.float64(v) if j % 2 else v for j, v in enumerate(row)]
+                    for row in rows]
+        elif kind == "array":
+            rows = np.array(rows, dtype=float).reshape(n, 4)
+        elif kind == "mixed" and n:  # the last chunk needs csv.writer's quoting
+            rows[-1] = [1.0, "a,b", None, True]
+        path, header = tmp_path / "curve.csv", ["a", "b", "c", "d"]
+        write_curve_csv(path, ["c"], header, rows)
+        assert path.read_bytes() == self.csv_writer_bytes(["c"], header, rows)
+
     def test_comment_prefix_format(self, tmp_path):
         path = tmp_path / "curve.csv"
         write_curve_csv(path, ["note"], ["x"], [[1.0]])

@@ -202,16 +202,17 @@ class TestActivations:
     @pytest.mark.parametrize("layout", ["C", "block view"])
     def test_equal_the_training_step_bit_for_bit(self, layout):
         # 9 coordinates: row sums of 8+ terms run pairwise, in another order
-        # unless diff is C-ordered for the F-ordered centers view _sgd passes
+        # along d than along m; hidden_activations passes the F-ordered
+        # centers.T, _sgd the C-ordered (d, m) rows of its block
         rng = np.random.default_rng(23)
         net = random_net(rng, m=20, input_dim=9, output_dim=2)
         x = rng.uniform(0.0, 1.0, size=9)
-        centers = net.centers
+        centers = np.ascontiguousarray(net.centers.T)
         if layout == "block view":
             block = np.concatenate([net.weights, net.centers.T, net.spans[None, :]])
-            centers = block[2:11].T
-            assert centers.flags.f_contiguous and not centers.flags.c_contiguous
-        z = _activations(centers, net.spans, x[None, :])[2]
+            centers = block[2:11]
+            assert centers.base is block and centers.flags.c_contiguous
+        z = _activations(centers, net.spans, x[:, None])[2]
         assert [v.hex() for v in net.hidden_activations(x).tolist()] == [
             v.hex() for v in z.tolist()
         ]
@@ -339,6 +340,49 @@ class TestKernelMatchesReference:
                 train_step(net, x, d, config)
                 assert_same_parameters(net, ref)
         assert_zero_rates_frozen(net, initial, config)
+
+    @pytest.mark.parametrize("dim", [4, 7, 8, 9])  # row sums of 8+ terms run pairwise
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mode", UPDATE_MODES)
+    @pytest.mark.parametrize("frozen", ["tau_w", "tau_mu", "tau_delta"])
+    def test_train_is_bitwise_reference_around_eight_inputs(self, dim, k, mode, frozen):
+        rates = {"tau_w": 0.2, "tau_mu": 0.05, "tau_delta": 0.05, frozen: 0.0}
+        config = RbfConfig(
+            m_hidden=5, input_dim=dim, output_dim=k, epochs=3, seed=dim,
+            update_mode=mode, **rates,
+        )
+        rng = np.random.default_rng(100 * dim + k)
+        X = rng.uniform(0.0, 100.0, size=(12, dim))
+        Y = rng.uniform(-120.0, -40.0, size=(12, k))
+        net = init_network(config, X)
+        initial, ref = net.copy(), net.copy()
+        mse = reference_train(ref, X, Y, config)
+        net, report = train(net, X, Y, config)
+        assert_same_parameters(net, ref)
+        assert report.mse_per_epoch == mse
+        assert_zero_rates_frozen(net, initial, config)
+
+    def test_train_step_is_bitwise_reference_with_subnormal_span_squares(self):
+        # delta ~ 1e-160, so delta^2 is subnormal and (-2 delta) delta differs
+        # from -2 (delta delta); z / delta^2 overflows, so tau_mu = 0
+        config = RbfConfig(
+            m_hidden=8, input_dim=2, tau_w=0.2, tau_mu=0.0, tau_delta=0.05
+        )
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            net = RbfNetwork(
+                centers=rng.uniform(0.0, 3e-160, size=(8, 2)),
+                spans=rng.uniform(0.5e-160, 2e-160, size=8),
+                weights=rng.uniform(-1.0, 1.0, size=(1, 8)),
+                norm=identity_norm(2),
+            )
+            assert 0.0 < np.max(net.spans * net.spans) < np.finfo(float).tiny
+            ref = net.copy()
+            x, d = rng.uniform(0.0, 3e-160, size=2), rng.uniform(0.0, 1.0, size=1)
+            with np.errstate(over="ignore"):
+                reference_step(ref, x, d, config)
+            train_step(net, x, d, config)
+            assert_same_parameters(net, ref)
 
 
 class TestGradientCheck:
