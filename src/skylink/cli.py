@@ -4,7 +4,7 @@ Every command is driven by a JSON run config and is deterministic given
 that config (seeds included); reruns produce byte-identical artifacts.
 Exit codes: 0 success, 1 runtime/numeric failure, 2 usage or validation
 failure. The SKYLINK_LOG environment variable (error, warn, info, debug)
-sets the log level.
+sets the level of log records and of Python warnings.
 """
 
 from __future__ import annotations
@@ -39,8 +39,6 @@ LOG_LEVELS = {
     "debug": logging.DEBUG,
 }
 
-_PRINT_CHUNK = 4096  # rows per write of predict's output
-
 _MISSING = object()
 
 # The keys of a run config and of its train and curves blocks; the others
@@ -58,11 +56,10 @@ CURVE_KEYS = (
 
 def _setup_logging() -> None:
     raw = os.environ.get("SKYLINK_LOG", "warn").lower()
+    logging.basicConfig(level=LOG_LEVELS.get(raw, logging.WARNING))
+    logging.captureWarnings(True)  # warnings.warn obeys the level too
     if raw not in LOG_LEVELS:
-        logging.basicConfig(level=logging.WARNING)
         logger.warning("unknown SKYLINK_LOG value %r; using warn", raw)
-        return
-    logging.basicConfig(level=LOG_LEVELS[raw])
 
 
 class RunConfig:
@@ -321,9 +318,7 @@ def cmd_predict(args) -> int:
             "range; extrapolating",
             int(outside.sum()), features.shape[0],
         )
-    lines = [f"{value!r}\n" for value in values[:, 0].tolist()]
-    for start in range(0, len(lines), _PRINT_CHUNK):  # one write per chunk of rows
-        sys.stdout.write("".join(lines[start:start + _PRINT_CHUNK]))
+    sys.stdout.write("".join(f"{value!r}\n" for value in values[:, 0].tolist()))
     return 0
 
 
@@ -341,7 +336,7 @@ def cmd_eval(args) -> int:
         )
     err = net.predict(x).reshape(y.shape) - y
     with np.errstate(over="ignore"):
-        rmse = float(np.sqrt(np.mean(err ** 2)))
+        rmse = rbf_net._rmse(err)
     if not np.isfinite(rmse):  # a finite rmse bounds the other two metrics
         raise DomainError(f"rmse_db is {rmse}: the errors leave the float range")
     print(f"rmse_db={_fmt(rmse)}")
@@ -466,8 +461,8 @@ def _curve_plos_fit(cfg: RunConfig, args, out: str):
             raise FitError(f"environment {env.name!r}: {exc}") from exc
         fit_env = dataclasses.replace(env, sigmoid=(a, b))
         fitted = [cm.plos_sigmoid(fit_env, t) for t in thetas]
-        rmse = float(np.sqrt(np.mean((np.array(fitted) - np.array(produced)) ** 2)))
-        rows = [[t, p, f] for t, p, f in zip(thetas, produced, fitted)]
+        rows = np.column_stack([thetas, produced, fitted])
+        rmse = float(np.sqrt(np.mean((rows[:, 2] - rows[:, 1]) ** 2)))
         notes = [
             f"environment={env.name} {heights}",
             f"fitted a={_fmt(a)} b={_fmt(b)} rmse={_fmt(rmse)}",
@@ -489,12 +484,10 @@ def _curve_rss(cfg: RunConfig, args, out: str):
     model_path = os.path.join(out, "model.json")  # train's, if fit the same way
     x, y = datagen.features_targets(dataset)
     net, _, report, _ = _train_model(cfg, x, y, model_path)
-    predicted = net.predict(x).reshape(-1)
+    import numpy as np  # not before the scenario's rows: that raises the peak RSS
+
     header = [datagen.CSV_HEADER[2 + axis], "rss_empirical_dbm", "rss_predicted_dbm"]
-    rows = [
-        [float(x[i, axis]), float(y[i, 0]), float(predicted[i])]
-        for i in range(x.shape[0])
-    ]
+    rows = np.column_stack([x[:, axis], y[:, 0], net.predict(x)[:, 0]])
     notes = [
         f"environment={dataset.metadata['environment']['name']} scenario={kind}",
         f"val_rmse_db={_fmt(report.final_val_rmse_db)}",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import copy
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import logging
 import math
 import os
 import re
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -21,7 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from skylink import (
     SchemaError, budget_from_dict, cli, datagen, fading, features_targets,
-    gen_distance_sweep, load_environments, load_model, params_from_k, read_curve_csv,
+    fit_sigmoid, gen_distance_sweep, ground_distance_for_angle, load_environments,
+    load_model, params_from_k, plos_product, plos_sigmoid, read_curve_csv,
     read_dataset,
 )
 from skylink.cli import RunConfig
@@ -1068,14 +1071,11 @@ def no_sample(*args, **kwargs):
     raise AssertionError("a datagen.Sample was built")
 
 
-@pytest.mark.parametrize("chunk", [cli._PRINT_CHUNK, 7], ids=["one_write", "chunks"])
-def test_model_commands_print_what_the_per_row_loops_printed(
-    small_run, monkeypatch, chunk
-):
+def test_model_commands_print_what_the_per_row_loops_printed(small_run, monkeypatch):
     """On a valid dataset, predict --input and eval build no Sample, and print
     byte for byte what a print of each prediction's repr and the metrics of
     features_targets(read_dataset(path)) gave; so does predict on the
-    dataset's D,H,F,P feature CSV. 7 rows a write splits the 30 into 5."""
+    dataset's D,H,F,P feature CSV."""
     model = str(small_run / "out" / "model.json")
     dataset = str(small_run / "out" / "dataset.csv")
     net, _ = load_model(model)
@@ -1089,10 +1089,25 @@ def test_model_commands_print_what_the_per_row_loops_printed(
         f"max_abs_error_db={float(np.max(np.abs(err)))!r}\n"
     )
     monkeypatch.setattr(datagen, "Sample", no_sample)
-    monkeypatch.setattr(cli, "_PRINT_CHUNK", chunk)
     for path in (dataset, str(small_run / "features.csv")):
         assert run_main("predict", model, "--input", path)[:2] == (0, want_predict)
     assert run_main("eval", model, dataset)[:2] == (0, want_eval)
+
+
+def test_predict_prints_every_row_of_a_long_input(small_run, tmp_path):
+    """predict --input on 4 097 rows, more than one 4 096-row chunk, prints
+    each prediction's repr in order through a process's real stdout."""
+    lines = (small_run / "features.csv").read_text(encoding="utf-8").splitlines()
+    header, rows = lines[0], lines[1:]
+    table = [rows[i % len(rows)] for i in range(4097)]
+    path = tmp_path / "features.csv"
+    path.write_text("\n".join([header, *table]) + "\n", encoding="utf-8")
+    model = str(small_run / "out" / "model.json")
+    net, _ = load_model(model)
+    x = np.array([[float(v) for v in row.split(",")] for row in table])
+    proc = run_cli("predict", model, "--input", str(path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "".join(f"{v!r}\n" for v in net.predict(x)[:, 0].tolist())
 
 
 def test_train_builds_no_sample(small_run, tmp_path, monkeypatch):
@@ -1333,6 +1348,16 @@ class TestEval:
         assert errors[0].startswith(f"error: {sidecar}:1:2: invalid JSON: ")
 
 
+def assert_curve_bytes(path, rows):
+    """Assert that the curve CSV at path is what write_curve_csv writes from
+    the file's own comments and header and from rows; return the comments."""
+    comments, header, _ = read_curve_csv(path)
+    want = path.with_suffix(".want")
+    datagen.write_curve_csv(str(want), comments, header, rows)
+    assert path.read_bytes() == want.read_bytes()
+    return comments
+
+
 class TestCurves:
     def test_rician_series(self, workspace):
         tmp, cfg = workspace
@@ -1409,6 +1434,39 @@ class TestCurves:
         assert sorted(p.name for p in out.iterdir()) == [
             f"plos_fit_{name}.csv" for name in written
         ]
+
+    def test_rss_distance_file_is_what_per_row_lists_write(self, small_run, tmp_path):
+        """curves rss_distance, reusing train's model, writes byte for byte what
+        write_curve_csv writes from rows of Python floats."""
+        shutil.copy(small_run / "out" / "model.json", tmp_path / "model.json")
+        argv = ["--config", str(small_run / "run.json"), "--out", str(tmp_path)]
+        assert run_main("curves", "rss_distance", *argv)[0] == 0
+        net, _ = load_model(tmp_path / "model.json")
+        x, y = features_targets(read_dataset(small_run / "out" / "dataset.csv"))
+        p = net.predict(x).reshape(-1)
+        rows = [[float(x[i, 0]), float(y[i, 0]), float(p[i])] for i in range(len(x))]
+        assert_curve_bytes(tmp_path / "rss_distance.csv", rows)
+
+    def test_plos_fit_files_are_what_per_row_lists_write(self, small_run, tmp_path):
+        """curves plos_fit writes byte for byte, fit note included, what
+        write_curve_csv writes from [theta, product, fit] lists of floats."""
+        argv = ["--config", str(small_run / "run.json"), "--out", str(tmp_path)]
+        assert run_main("curves", "plos_fit", *argv)[0] == 0
+        h, rx = 100.0, datagen.DEFAULT_RX_HEIGHT_M
+        thetas = [float(t) for t in range(10, 91)]
+        for env in load_environments(small_run / "environments.json").values():
+            produced = [
+                plos_product(env, h, rx, ground_distance_for_angle(h, t))
+                for t in thetas
+            ]
+            a, b = fit_sigmoid([(t, v) for t, v in zip(thetas, produced) if 0 < v < 1])
+            fit_env = dataclasses.replace(env, sigmoid=(a, b))
+            fitted = [plos_sigmoid(fit_env, t) for t in thetas]
+            err = np.array(fitted) - np.array(produced)
+            note = f"fitted a={a!r} b={b!r} rmse={float(np.sqrt(np.mean(err ** 2)))!r}"
+            rows = [[t, v, f] for t, v, f in zip(thetas, produced, fitted)]
+            path = tmp_path / f"plos_fit_{env.name}.csv"
+            assert note in assert_curve_bytes(path, rows)
 
     def test_rss_distance_curve(self, workspace):
         tmp, cfg = workspace
@@ -1704,6 +1762,25 @@ class TestHarness:
             "WARNING:skylink.cli:1 of 1 input rows fall outside the model's "
             "training feature range; extrapolating\n"
         ))
+
+    @pytest.mark.parametrize("level", ["error", None], ids=["error", "default"])
+    def test_log_level_filters_the_hata_range_warning(self, workspace, level):
+        """The Hata nominal-range warning (f_mhz 2000 > 1500) goes through
+        logging: SKYLINK_LOG=error hides it, the default level logs it once."""
+        tmp, cfg = workspace
+        doc = json.loads(cfg.read_text(encoding="utf-8"))
+        write_json(cfg, dict(doc, pl_model="hata"))
+        env = {k: v for k, v in os.environ.items() if k != "SKYLINK_LOG"}
+        if level is not None:
+            env["SKYLINK_LOG"] = level
+        proc = run_cli("generate", "--config", str(cfg), cwd=tmp, env=env)
+        assert proc.returncode == 0
+        if level == "error":
+            assert proc.stderr == ""
+        else:
+            assert proc.stderr.startswith("WARNING:py.warnings:")
+            assert proc.stderr.count("WARNING:") == 1
+            assert "Hata f_mhz=2000.0 MHz outside nominal range" in proc.stderr
 
     def test_bogus_log_level_still_runs(self, workspace):
         tmp, cfg = workspace
