@@ -14,10 +14,15 @@ for comparison experiments. Features and targets are min-max normalized to
 
 Training packs the parameters into one (K + d + 1, m) block for K outputs, d
 inputs and m hidden units: K weight rows, the (d, m) centers and one span
-row. The step kernel reads one copy of the block and writes the other.
-Training, predict and the gradient check share one hidden-layer routine on
-(d, m) centers, which sums squares on an (m, d) copy for d >= 8. That
-routine and the step, operation by operation, are the artifact contract:
+row. A step adds one update block (np.add) and floors the span row
+(np.maximum). The update's weight rows are e outer (z tau_w), its center and
+span rows (rate z coef / delta) g, g being diff / delta (diff in paper_literal
+mode) or -q. Finiteness is checked once per epoch, as a non-finite entry
+stays so (inf + x is inf or nan, np.maximum passes nan on, a span of -inf is
+floored in its own step); a failed check replays the epoch checking each
+step. Training, predict and the gradient check share one hidden-layer
+routine on (d, m) centers, which sums squares on an (m, d) copy for d >= 8.
+That routine and the step, operation by operation, are the artifact contract:
 model.json, training_report.csv and predictions stay byte-identical only
 while they evaluate as the reference loops in tests/test_rbf_net.py do.
 """
@@ -25,7 +30,6 @@ while they evaluate as the reference loops in tests/test_rbf_net.py do.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -319,64 +323,70 @@ def _check_reach(neg_q, xn, raw, start: int = 0) -> None:
         )
 
 
-def _activations(centers, spans, x, neg2=-2.0) -> tuple:
+def _activations(centers, spans, x, neg2=-2.0, out=(None, None)) -> tuple:
     """Hidden-layer terms (diff, -q, z), -q = ln z: the one place z is computed.
 
     centers is (d, m), the block's layout; x is a normalized (d, 1) column or
     a batch (n, d, 1). numpy sums 8+ contiguous terms pairwise, so for d >= 8
     the squares sum on a C-ordered (..., m, d) copy, as the reference's rows
     do. neg2 is -2.0 or a row of it: s / -(2 delta^2) is -(s / (2 delta^2)).
+    ``out`` may name arrays to write diff and -q to.
     """
-    diff = x - centers
+    diff = np.subtract(x, centers, out=out[0])
     sq = diff * diff
     sq, axis = (sq, -2) if len(centers) < 8 else (sq.swapaxes(-1, -2).copy(), -1)
-    neg_q = np.add.reduce(sq, axis) / (neg2 * spans * spans)
+    neg_q = np.divide(np.add.reduce(sq, axis), neg2 * spans * spans, out=out[1])
     return diff, neg_q, np.exp(neg_q)
 
 
-def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, sq: np.ndarray) -> None:
+def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, errors) -> None:
     """Per-sample SGD over (d, 1) columns ``order`` of X and rows of Y.
 
-    sq[i] gets e @ e before row i's update. Works on two C-ordered copies of
-    the packed block: a step reads one and writes the other with ``out=``,
-    then they swap. Rates, -2 and the span floor are rows of m entries: numpy
-    multiplies two arrays faster than a float and an array. Zero-rate classes
-    are never written, so they stay exact and out of divergence blame (0 * inf
-    is nan). The current block goes back into ``net`` on exit, so after a
-    divergence ``net`` holds the last finite parameters.
+    errors[i], a (K,) row, gets e before row i's update. A step writes copy +
+    update of the packed block into its other copy; the copies swap. Rates,
+    -2 and the floor are rows of m entries: numpy multiplies equal shapes
+    faster than it broadcasts. Rows of a zero-rate class are copied back
+    after the add, so they stay exact and out of divergence blame (0 * inf
+    is nan). A failed check after the last step replays the call with a
+    check per step, which raises where a per-step check would; ``net`` gets
+    the current block on exit, so it then holds the last finite parameters.
     """
     k, d, m = net.output_dim, net.input_dim, net.m_hidden
-    blocks = np.empty((2, k + d + 1, m))
-    blocks[:] = np.concatenate([net.weights, net.centers.T, net.spans[None, :]])
-    cur, nxt = ((b, b[:k], b[k:k + d], b[k + d]) for b in blocks)
-    derived = config.update_mode == "derived_gradient"
-    rates = [(1.0 if derived else -1.0) * config.tau_w, config.tau_mu]
-    rates += [2.0 * config.effective_tau_delta, -2.0, SPAN_FLOOR]
-    w_on, mu_on, span_on = (rate != 0.0 for rate in rates[:3])
-    w_rate, tau_mu, span_rate, neg2, floor = np.array([[v] * m for v in rates])
+    start = np.concatenate([net.weights, net.centers.T, net.spans[None, :]])
+    blocks, update, g = np.empty((2, *start.shape)), np.empty_like(start), np.empty((d + 1, m))
+    cur, nxt = views = [(b, b[:k], b[k:-1], b[-1]) for b in blocks]
+    g_out, u_w, u_g = (g[:d], g[d]), update[:k], update[k:]
+    derived, tau_d = config.update_mode == "derived_gradient", config.effective_tau_delta
+    w_rate = np.full(m, (1.0 if derived else -1.0) * config.tau_w)
+    rates = np.repeat([[config.tau_mu]] * d + [[-2.0 * tau_d]], m, axis=1)
+    neg2, floor = np.full(m, -2.0), np.full(m, SPAN_FLOOR)
+    parts = {"weights": slice(k), "centers": slice(k, -1), "spans": slice(-1, None)}
+    frozen = [p for p, r in zip(parts.values(), (config.tau_w, config.tau_mu, tau_d)) if not r]
     try:
-        for i in order:
-            _, w, centers, spans = cur
-            block, w1, centers1, spans1 = nxt
-            diff, neg_q, z = _activations(centers, spans, X[i], neg2)
-            e = Y[i] - w.dot(z)  # the BLAS call of @, without its dispatch
-            coef = e.dot(w)  # coef_j = sum_k e_k W_kj
-            if w_on:
-                np.add(w, w_rate * (e[:, None] * z), out=w1)
-            if mu_on:
-                rate = z / (spans * spans) if derived else z / spans
-                np.add(centers, tau_mu * (rate * coef) * diff, out=centers1)
-            if span_on:
-                step = spans - span_rate * (z / spans) * neg_q * coef
-                np.maximum(step, floor, out=spans1)
-            # a finite sum proves every entry finite; a sum that overflows
-            # on finite entries is no divergence
-            if not math.isfinite(block.sum()):
-                for name, part in zip(("weights", "centers", "spans"), nxt[1:]):
-                    if not np.isfinite(part).all():
-                        raise TrainingDivergedError(name)
-            sq[i] = e.dot(e)
-            cur, nxt = nxt, cur
+        with np.errstate(over="ignore", invalid="ignore"):
+            for check in (False, True):
+                blocks[:] = start
+                for i in order:
+                    block, w, centers, spans = cur
+                    diff, _, z = _activations(centers, spans, X[i], neg2, g_out)
+                    e = np.subtract(Y[i], w.dot(z), out=errors[i])  # @ without dispatch
+                    coef = e.dot(w)  # coef_j = sum_k e_k W_kj
+                    if derived:
+                        np.divide(diff, spans, out=diff)
+                    np.multiply(rates, z * coef / spans, out=u_g)
+                    np.multiply(u_g, g, out=u_g)  # after the rates: inf * 0 is nan
+                    np.multiply.outer(e, z * w_rate, out=u_w)
+                    np.add(block, update, out=nxt[0])
+                    np.maximum(nxt[3], floor, out=nxt[3])
+                    for part in frozen:
+                        nxt[0][part] = block[part]
+                    if check and not np.isfinite(nxt[0]).all():
+                        raise TrainingDivergedError(next(n for n, p in parts.items()
+                                                         if not np.isfinite(nxt[0][p]).all()))
+                    cur, nxt = nxt, cur
+                if np.isfinite(cur[0]).all():
+                    break
+                cur, nxt = views
     finally:
         _, w, centers, spans = cur
         net.weights, net.centers, net.spans = w.copy(), centers.T.copy(), spans.copy()
@@ -398,7 +408,7 @@ def train_step(
     updates read the pre-step state; spans are floored at 1e-6 afterwards.
     """
     d = _checked([d], (1, net.output_dim), "target", DomainError)[0]
-    _sgd(net, [net._check_x(x).T], [d], (0,), config, np.empty(1))
+    _sgd(net, [net._check_x(x).T], [d], (0,), config, [np.empty_like(d)])
     return net
 
 
@@ -438,19 +448,19 @@ def train(
     Yn = net.norm.normalize_targets(Y)
 
     rng = np.random.default_rng(config.seed)
-    report = TrainReport()
-    sq = np.empty(X.shape[0])
-    rows, targets = list(Xn[:, :, None]), list(Yn)  # lists index cheaper per step
-    with np.errstate(over="ignore", invalid="ignore"):  # _sgd checks each step
-        for epoch in range(config.epochs):
-            order = rng.permutation(X.shape[0]).tolist()
-            try:
-                _sgd(net, rows, targets, order, config, sq)
-            except TrainingDivergedError as exc:
-                raise TrainingDivergedError(exc.parameter_class, epoch) from None
-            # sq is indexed by row, so the mean does not pick up ulp-level
-            # noise from the per-epoch visit order
-            report.mse_per_epoch.append(float(np.mean(sq)))
+    report, errors = TrainReport(), np.empty_like(Yn)
+    # lists index cheaper per step
+    rows, targets, error_rows = list(Xn[:, :, None]), list(Yn), list(errors)
+    for epoch in range(config.epochs):
+        order = rng.permutation(X.shape[0]).tolist()
+        try:
+            _sgd(net, rows, targets, order, config, error_rows)
+        except TrainingDivergedError as exc:
+            raise TrainingDivergedError(exc.parameter_class, epoch) from None
+        # by row: no ulp noise from the visit order; may overflow on finite W
+        with np.errstate(over="ignore"):
+            sq = np.add.reduce(errors * errors, axis=1)
+        report.mse_per_epoch.append(float(np.mean(sq)))
 
     pred = net.predict(X)  # (n, output_dim), the shape of Y
     report.final_train_rmse_norm = _rmse(net.norm.normalize_targets(pred) - Yn)

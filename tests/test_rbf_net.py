@@ -6,6 +6,7 @@ import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,9 @@ from skylink import (
     SPAN_FLOOR,
     TrainingDivergedError,
     error_signal,
+    features_targets,
     fit_digest,
+    gen_distance_sweep,
     gradient_check,
     init_network,
     load_model,
@@ -62,8 +65,43 @@ def reference_step(net, x, d, config):
 
     This is the reference for the training kernel: the kernel must perform
     these floating-point operations in this order, so that trained models
-    stay byte-identical. Zero-rate classes are skipped, as 0 * inf is nan.
+    stay byte-identical. The centers and spans move by one product f * rate
+    * g, where f = z coef / delta and g is diff / delta (diff in
+    paper_literal mode) for a center and -q for a span. Zero-rate classes
+    are skipped, as 0 * inf is nan.
     """
+    diff = x - net.centers
+    spans = net.spans
+    q = (diff * diff).sum(axis=1) / (2.0 * spans * spans)
+    z = np.exp(-q)
+    e = d - net.weights @ z
+    coef = e @ net.weights
+    if config.update_mode == "derived_gradient":
+        w_sign, g = 1.0, diff / spans[:, None]
+    else:
+        w_sign, g = -1.0, diff
+    f = z * coef / spans
+    new_w, new_centers, new_spans = net.weights, net.centers, spans
+    if config.tau_w != 0.0:
+        new_w = net.weights + np.outer(e, z * (w_sign * config.tau_w))
+    if config.tau_mu != 0.0:
+        new_centers = net.centers + (f * config.tau_mu)[:, None] * g
+    tau_d = config.effective_tau_delta
+    if tau_d != 0.0:
+        new_spans = np.maximum(spans + f * (-2.0 * tau_d) * -q, SPAN_FLOOR)
+    for name, value in (
+        ("weights", new_w), ("centers", new_centers), ("spans", new_spans)
+    ):
+        if not np.all(np.isfinite(value)):
+            raise TrainingDivergedError(name)
+    net.weights, net.centers, net.spans = new_w, new_centers, new_spans
+    return e
+
+
+def previous_reference_step(net, x, d, config):
+    """reference_step in the earlier operation order, kept to bound the drift
+    of the reordering: the centers move by tau_mu (z / delta^2) coef diff and
+    the spans by 2 tau_delta (z / delta) (-q) coef, each as its own product."""
     diff = x - net.centers
     spans = net.spans
     q = (diff * diff).sum(axis=1) / (2.0 * spans * spans)
@@ -95,8 +133,8 @@ def reference_step(net, x, d, config):
     return e
 
 
-def reference_train(net, X, Y, config):
-    """Plain epoch loop of reference_step; returns the per-epoch MSE list."""
+def reference_train(net, X, Y, config, step=reference_step):
+    """Plain epoch loop of ``step``; returns the per-epoch MSE list."""
     y_min, y_max = Y.min(axis=0), Y.max(axis=0)
     flat = y_max - y_min <= 0.0
     y_min[flat] -= 0.5
@@ -109,10 +147,10 @@ def reference_train(net, X, Y, config):
     for epoch in range(config.epochs):
         for i in rng.permutation(len(X)):
             try:
-                e = reference_step(net, Xn[i], Yn[i], config)
+                e = step(net, Xn[i], Yn[i], config)
             except TrainingDivergedError as exc:
                 raise TrainingDivergedError(exc.parameter_class, epoch) from None
-            sq[i] = float(e @ e)
+            sq[i] = np.add.reduce(e * e)
         mse.append(float(np.mean(sq)))
     return mse
 
@@ -307,6 +345,37 @@ class TestTrainStep:
         train_step(net, np.array([0.8]), np.array([0.0]), config)
         assert net.spans[0] == SPAN_FLOOR
 
+    def test_span_step_reaching_minus_inf_is_floored(self):
+        # -2 tau_delta overflows to -inf, so the span step is -inf; the floor
+        # makes the span finite within the step, so nothing diverges
+        net = one_unit_net(weight=1.0, center=0.0, span=0.5)
+        config = RbfConfig(
+            m_hidden=1, input_dim=1, tau_w=0.1, tau_mu=0.1, tau_delta=1e308
+        )
+        ref = net.copy()
+        with np.errstate(over="ignore"):
+            reference_step(ref, np.array([0.8]), np.array([0.0]), config)
+        train_step(net, np.array([0.8]), np.array([0.0]), config)
+        assert net.spans[0] == SPAN_FLOOR
+        assert_same_parameters(net, ref)
+        assert net.weights[0, 0] != 1.0 and net.centers[0, 0] != 0.0
+
+    def test_two_classes_diverging_in_one_step_blame_the_first(self):
+        # a huge target overflows the weight and the span step at once; the
+        # blame goes in block order, weights before centers before spans
+        net = one_unit_net(weight=1.0, center=0.0, span=0.5)
+        config = RbfConfig(
+            m_hidden=1, input_dim=1, tau_w=1e10, tau_mu=0.0, tau_delta=1e10
+        )
+        ref, x, d = net.copy(), np.array([0.8]), np.array([1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as want:
+                reference_step(ref, x, d, config)
+        with pytest.raises(TrainingDivergedError) as got:
+            train_step(net, x, d, config)
+        assert got.value.parameter_class == want.value.parameter_class == "weights"
+        assert_same_parameters(net, one_unit_net(weight=1.0, center=0.0, span=0.5))
+
     def test_target_dimension_enforced(self):
         net = one_unit_net()
         config = RbfConfig(m_hidden=1, input_dim=1)
@@ -383,6 +452,26 @@ class TestKernelMatchesReference:
                 reference_step(ref, x, d, config)
             train_step(net, x, d, config)
             assert_same_parameters(net, ref)
+
+    def test_zero_rate_centers_stay_bit_exact_with_subnormal_span_squares(self):
+        # the center rows of the update are +-0 at tau_mu = 0, and -0.0 + 0.0
+        # is 0.0: only copying the frozen rows back keeps a -0.0 center
+        config = RbfConfig(
+            m_hidden=8, input_dim=2, tau_w=0.2, tau_mu=0.0, tau_delta=0.05
+        )
+        rng = np.random.default_rng(6)
+        centers = rng.uniform(0.0, 3e-160, size=(8, 2))
+        centers[:, 0] = -0.0
+        net = RbfNetwork(
+            centers=centers, spans=rng.uniform(0.5e-160, 2e-160, size=8),
+            weights=rng.uniform(-1.0, 1.0, size=(1, 8)), norm=identity_norm(2),
+        )
+        assert 0.0 < np.max(net.spans * net.spans) < np.finfo(float).tiny
+        for _ in range(5):
+            x, d = rng.uniform(0.0, 3e-160, size=2), rng.uniform(0.0, 1.0, size=1)
+            train_step(net, x, d, config)
+            assert net.centers.tobytes() == centers.tobytes()
+            assert np.all(np.signbit(net.centers[:, 0]))
 
 
 class TestGradientCheck:
@@ -687,6 +776,50 @@ class TestTrain:
         assert got.value.epoch == want.value.epoch == 0
         assert_same_parameters(net, ref)
         assert not np.array_equal(net.weights, initial.weights)
+
+    def test_divergence_after_the_first_step_of_a_later_epoch_replays_exactly(self):
+        # _sgd checks finiteness once per epoch, then replays the epoch with a
+        # check per step: the error and the parameters it leaves are those of
+        # the reference's per-step check
+        X, Y = toy_problem()
+        config = RbfConfig(
+            m_hidden=6, input_dim=2, tau_w=10.0, tau_mu=0.0, tau_delta=0.0,
+            epochs=60, seed=7,
+        )
+        net = init_network(config, X)
+        ref = net.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as want:
+                reference_train(ref, X, Y, config)
+        with pytest.raises(TrainingDivergedError) as got:
+            train(net, X, Y, config)  # no RuntimeWarning escapes either
+        assert got.value.parameter_class == want.value.parameter_class == "weights"
+        assert got.value.epoch == want.value.epoch > 0
+        assert_same_parameters(net, ref)
+        # the diverging epoch took finite steps before the one that diverged
+        begun = init_network(config, X)
+        with np.errstate(over="ignore"):
+            reference_train(begun, X, Y, replace(config, epochs=want.value.epoch))
+        assert not np.array_equal(net.weights, begun.weights)
+
+    def test_reordered_update_stays_within_1e_9_of_the_previous_order(self, urban):
+        # bounds the drift between the kernel's operation order and
+        # previous_reference_step's: parameters relatively, predictions in dB
+        distances = np.linspace(100.0, 2000.0, 200).tolist()
+        X, Y = features_targets(gen_distance_sweep(urban, 100.0, distances))
+        config = RbfConfig(epochs=100, seed=7)
+        net = init_network(config, X)
+        previous = net.copy()
+        net, report = train(net, X, Y, config)
+        mse = reference_train(previous, X, Y, config, step=previous_reference_step)
+        for name in ("weights", "centers", "spans"):
+            np.testing.assert_allclose(
+                getattr(net, name), getattr(previous, name), rtol=1e-9, atol=0.0
+            )
+        np.testing.assert_allclose(
+            net.predict(X), previous.predict(X), rtol=0.0, atol=1e-9
+        )
+        np.testing.assert_allclose(report.mse_per_epoch, mse, rtol=1e-9, atol=0.0)
 
     def test_divergence_reports_epoch_and_parameters(self):
         X, Y = toy_problem()
