@@ -12,19 +12,20 @@ whose center update divides by delta_j instead of delta_j^2; it is retained
 for comparison experiments. Features and targets are min-max normalized to
 [0, 1]; statistics come from the training split only.
 
-Training packs the parameters into one (K + d + 1, m) block for K outputs, d
-inputs and m hidden units: K weight rows, the (d, m) centers and one span
-row. A step adds one update block (np.add) and floors the span row
-(np.maximum). The update's weight rows are e outer (z tau_w), its center and
-span rows (rate z coef / delta) g, g being diff / delta (diff in paper_literal
-mode) or -q. Finiteness is checked once per epoch, as a non-finite entry
-stays so (inf + x is inf or nan, np.maximum passes nan on, a span of -inf is
-floored in its own step); a failed check replays the epoch checking each
-step. Training, predict and the gradient check share one hidden-layer
+Training packs the parameters into one (K + 1 + d, m) block for K outputs, d
+inputs and m hidden units: K weight rows, a span row, the (d, m) centers. A
+step adds one update block (np.add) and floors the span row (np.maximum); its
+ufuncs take their output positionally, cheaper than out=, but np.maximum,
+which deprecates that. The update's weight rows are e outer (z tau_w), its
+span and center rows (rate z coef / delta) g, g being -q or diff / delta (diff
+in paper_literal mode). Finiteness is checked once per epoch, as a non-finite
+entry stays so (inf + x is inf or nan, np.maximum passes nan on, a span of
+-inf is floored in its own step); a failed check replays the epoch checking
+each step. Training, predict and the gradient check share one hidden-layer
 routine on (d, m) centers, which sums squares on an (m, d) copy for d >= 8.
 That routine and the step, operation by operation, are the artifact contract:
-model.json, training_report.csv and predictions stay byte-identical only
-while they evaluate as the reference loops in tests/test_rbf_net.py do.
+model.json, training_report.csv and predictions stay byte-identical only while
+they evaluate as the reference loops in tests/test_rbf_net.py do.
 """
 
 from __future__ import annotations
@@ -323,61 +324,69 @@ def _check_reach(neg_q, xn, raw, start: int = 0) -> None:
         )
 
 
-def _activations(centers, spans, x, neg2=-2.0, out=(None, None)) -> tuple:
+def _activations(centers, spans, x, neg2=-2.0, out=(None,) * 5) -> tuple:
     """Hidden-layer terms (diff, -q, z), -q = ln z: the one place z is computed.
 
-    centers is (d, m), the block's layout; x is a normalized (d, 1) column or
-    a batch (n, d, 1). numpy sums 8+ contiguous terms pairwise, so for d >= 8
-    the squares sum on a C-ordered (..., m, d) copy, as the reference's rows
-    do. neg2 is -2.0 or a row of it: s / -(2 delta^2) is -(s / (2 delta^2)).
-    ``out`` may name arrays to write diff and -q to.
+    centers is (d, m), the block's layout; x is a normalized (d, 1) column, a
+    pre-broadcast (d, m) row or a batch (n, d, 1). numpy sums 8+ contiguous
+    terms pairwise, so for d >= 8 the squares sum on a C-ordered (..., m, d)
+    copy, as the reference's rows do. neg2 is -2.0 or a row of it: s / -(2
+    delta^2) is -(s / (2 delta^2)). ``out`` may name arrays for diff, -q, the
+    squares, neg2 delta^2 and z, passed positionally as _sgd's outputs are.
     """
-    diff = np.subtract(x, centers, out=out[0])
-    sq = diff * diff
+    diff = np.subtract(x, centers, out[0])
+    sq = np.multiply(diff, diff, out[2])
     sq, axis = (sq, -2) if len(centers) < 8 else (sq.swapaxes(-1, -2).copy(), -1)
-    neg_q = np.divide(np.add.reduce(sq, axis), neg2 * spans * spans, out=out[1])
-    return diff, neg_q, np.exp(neg_q)
+    den = np.multiply(neg2, spans, out[3])
+    neg_q = np.add.reduce(sq, axis, None, out[1])
+    np.divide(neg_q, np.multiply(den, spans, den), neg_q)
+    return diff, neg_q, np.exp(neg_q, out[4])
 
 
 def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, errors) -> None:
-    """Per-sample SGD over (d, 1) columns ``order`` of X and rows of Y.
+    """Per-sample SGD over rows ``order`` of X, (d, m) or (d, 1), and of Y.
 
     errors[i], a (K,) row, gets e before row i's update. A step writes copy +
-    update of the packed block into its other copy; the copies swap. Rates,
-    -2 and the floor are rows of m entries: numpy multiplies equal shapes
-    faster than it broadcasts. Rows of a zero-rate class are copied back
-    after the add, so they stay exact and out of divergence blame (0 * inf
-    is nan). A failed check after the last step replays the call with a
-    check per step, which raises where a per-step check would; ``net`` gets
-    the current block on exit, so it then holds the last finite parameters.
+    update of the packed block into its other copy; the copies swap. Rates, -2
+    and the floor are rows of m entries: numpy multiplies equal shapes faster
+    than it broadcasts. One divide by delta turns scratch h = [-q; diff; z
+    coef] into [g; f] (only f in paper_literal mode), g beside the update's
+    [span; centers] rows. Zero-rate rows are copied back after the add: they
+    stay exact and out of divergence blame (0 * inf is nan), which goes
+    weights, centers, spans. A failed check after the last step replays the
+    call with a check per step, raising where a per-step check would; ``net``
+    gets the current block on exit, the last finite one then.
     """
     k, d, m = net.output_dim, net.input_dim, net.m_hidden
-    start = np.concatenate([net.weights, net.centers.T, net.spans[None, :]])
-    blocks, update, g = np.empty((2, *start.shape)), np.empty_like(start), np.empty((d + 1, m))
-    cur, nxt = views = [(b, b[:k], b[k:-1], b[-1]) for b in blocks]
-    g_out, u_w, u_g = (g[:d], g[d]), update[:k], update[k:]
+    start = np.concatenate([net.weights, net.spans[None, :], net.centers.T])
+    blocks, update, h = np.empty((2, *start.shape)), np.empty_like(start), np.empty((d + 2, m))
+    cur, nxt = views = [(b, b[:k], b[k], b[k + 1:]) for b in blocks]
+    scratch = h[1:-1], h[0], np.empty((d, m)), np.empty(m), np.empty(m)  # diff -q sq den z
+    g, f, u_g, wz, coef, z_w = h[:-1], h[-1], update[k:], np.empty(k), *np.empty((2, m))
     derived, tau_d = config.update_mode == "derived_gradient", config.effective_tau_delta
+    by_delta, u_w = h[1:] if derived else f, update[0] if k == 1 else update[:k]
     w_rate = np.full(m, (1.0 if derived else -1.0) * config.tau_w)
-    rates = np.repeat([[config.tau_mu]] * d + [[-2.0 * tau_d]], m, axis=1)
+    rates = np.repeat([[-2.0 * tau_d]] + [[config.tau_mu]] * d, m, axis=1)
     neg2, floor = np.full(m, -2.0), np.full(m, SPAN_FLOOR)
-    parts = {"weights": slice(k), "centers": slice(k, -1), "spans": slice(-1, None)}
+    parts = {"weights": slice(k), "centers": slice(k + 1, None), "spans": slice(k, k + 1)}
     frozen = [p for p, r in zip(parts.values(), (config.tau_w, config.tau_mu, tau_d)) if not r]
+    add, sub, mul, div, maximum = np.add, np.subtract, np.multiply, np.divide, np.maximum
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             for check in (False, True):
                 blocks[:] = start
                 for i in order:
-                    block, w, centers, spans = cur
-                    diff, _, z = _activations(centers, spans, X[i], neg2, g_out)
-                    e = np.subtract(Y[i], w.dot(z), out=errors[i])  # @ without dispatch
-                    coef = e.dot(w)  # coef_j = sum_k e_k W_kj
-                    if derived:
-                        np.divide(diff, spans, out=diff)
-                    np.multiply(rates, z * coef / spans, out=u_g)
-                    np.multiply(u_g, g, out=u_g)  # after the rates: inf * 0 is nan
-                    np.multiply.outer(e, z * w_rate, out=u_w)
-                    np.add(block, update, out=nxt[0])
-                    np.maximum(nxt[3], floor, out=nxt[3])
+                    block, w, spans, centers = cur
+                    z = _activations(centers, spans, X[i], neg2, scratch)[2]
+                    e = sub(Y[i], w.dot(z, wz), errors[i])  # @ without dispatch
+                    mul(z, e.dot(w, coef), f)  # coef_j = sum_k e_k W_kj
+                    div(by_delta, spans, by_delta)
+                    mul(rates, f, u_g)
+                    mul(u_g, g, u_g)  # after the rates: inf * 0 is nan
+                    mul(z, w_rate, z_w)
+                    mul(z_w, e[0], u_w) if k == 1 else mul.outer(e, z_w, out=u_w)
+                    add(block, update, nxt[0])
+                    maximum(nxt[2], floor, out=nxt[2])
                     for part in frozen:
                         nxt[0][part] = block[part]
                     if check and not np.isfinite(nxt[0]).all():
@@ -388,7 +397,7 @@ def _sgd(net: RbfNetwork, X, Y, order, config: RbfConfig, errors) -> None:
                     break
                 cur, nxt = views
     finally:
-        _, w, centers, spans = cur
+        _, w, spans, centers = cur
         net.weights, net.centers, net.spans = w.copy(), centers.T.copy(), spans.copy()
 
 
@@ -429,7 +438,8 @@ def train(
     training targets, then each epoch visits all samples in a freshly
     shuffled order drawn from the config seed. The per-epoch MSE is the
     mean pre-update sum_k e_k^2 across the epoch. Deterministic given
-    (config, data). Divergence raises with the failing epoch attached.
+    (config, data). Divergence raises with the failing epoch attached. Rows
+    go to the step pre-broadcast to (d, m), n d m floats: 102 KB at 160 x 4 x 20.
     """
     k, width = net.output_dim, (None, net.input_dim)
     X = _checked(features, width, "training feature", ConfigurationError)
@@ -447,10 +457,10 @@ def train(
     Xn = net.norm.normalize_features(X)
     Yn = net.norm.normalize_targets(Y)
 
-    rng = np.random.default_rng(config.seed)
-    report, errors = TrainReport(), np.empty_like(Yn)
-    # lists index cheaper per step
-    rows, targets, error_rows = list(Xn[:, :, None]), list(Yn), list(errors)
+    rng, report, errors = np.random.default_rng(config.seed), TrainReport(), np.empty_like(Yn)
+    # lists index cheaper per step; x - centers runs on equal shapes
+    rows = list(np.repeat(Xn[:, :, None], net.m_hidden, axis=2))
+    targets, error_rows = list(Yn), list(errors)
     for epoch in range(config.epochs):
         order = rng.permutation(X.shape[0]).tolist()
         try:

@@ -247,13 +247,32 @@ class TestActivations:
         x = rng.uniform(0.0, 1.0, size=9)
         centers = np.ascontiguousarray(net.centers.T)
         if layout == "block view":
-            block = np.concatenate([net.weights, net.centers.T, net.spans[None, :]])
-            centers = block[2:11]
+            block = np.concatenate([net.weights, net.spans[None, :], net.centers.T])
+            centers = block[3:12]
             assert centers.base is block and centers.flags.c_contiguous
         z = _activations(centers, net.spans, x[:, None])[2]
         assert [v.hex() for v in net.hidden_activations(x).tolist()] == [
             v.hex() for v in z.tolist()
         ]
+
+    @pytest.mark.parametrize("dim", [4, 7, 8, 9])  # row sums of 8+ terms run pairwise
+    @pytest.mark.parametrize("scale", [1.0, 1e-160])  # 1e-160: subnormal span squares
+    def test_out_buffers_keep_every_bit(self, dim, scale):
+        # the step's call: a pre-broadcast (d, m) row, a -2 row and buffers for
+        # diff, -q, the squares, the denominator and z; for d >= 8 the sum runs
+        # on a transposed copy, not on the squares buffer
+        rng = np.random.default_rng(dim)
+        m = 20
+        centers = rng.uniform(0.0, scale, size=(dim, m))
+        spans = rng.uniform(0.5 * scale, 2.0 * scale, size=m)
+        x = rng.uniform(0.0, scale, size=(dim, 1))
+        assert (np.min(spans * spans) < np.finfo(float).tiny) == (scale < 1.0)
+        out = (np.empty((dim, m)), np.empty(m), np.empty((dim, m)), np.empty(m), np.empty(m))
+        want = _activations(centers, spans, x)
+        got = _activations(centers, spans, np.repeat(x, m, axis=1), np.full(m, -2.0), out)
+        assert all(a is b for a, b in zip(got, (out[0], out[1], out[4])))
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_input_dimension_enforced(self):
         net = one_unit_net()
@@ -374,6 +393,23 @@ class TestTrainStep:
         with pytest.raises(TrainingDivergedError) as got:
             train_step(net, x, d, config)
         assert got.value.parameter_class == want.value.parameter_class == "weights"
+        assert_same_parameters(net, one_unit_net(weight=1.0, center=0.0, span=0.5))
+
+    def test_centers_and_spans_diverging_in_one_step_blame_the_centers(self):
+        # frozen weights; huge center and span rates overflow both classes at
+        # once. The blame order is weights, centers, spans, although the block
+        # holds the span row before the center rows
+        net = one_unit_net(weight=1.0, center=0.0, span=0.5)
+        config = RbfConfig(
+            m_hidden=1, input_dim=1, tau_w=0.0, tau_mu=1e300, tau_delta=1e300
+        )
+        ref, x, d = net.copy(), np.array([0.8]), np.array([1e10])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(TrainingDivergedError) as want:
+                reference_step(ref, x, d, config)
+        with pytest.raises(TrainingDivergedError) as got:
+            train_step(net, x, d, config)
+        assert got.value.parameter_class == want.value.parameter_class == "centers"
         assert_same_parameters(net, one_unit_net(weight=1.0, center=0.0, span=0.5))
 
     def test_target_dimension_enforced(self):
