@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -151,6 +152,13 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _rmse_line(name: str, rmse: float) -> str:
+    """The line name=rmse; an RMSE past the float range is a DomainError."""
+    if not math.isfinite(rmse):
+        raise DomainError(f"{name} is {rmse}: the errors leave the float range")
+    return f"{name}={_fmt(rmse)}"
+
+
 def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
     from . import channel_models as cm
 
@@ -166,8 +174,9 @@ def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
     return cm.load_environments(env_file)
 
 
-def _scenario_dataset(cfg: RunConfig, kind: str | None = None) -> datagen.Dataset:
-    """The config's scenario, as its own kind or as ``kind`` from the same block."""
+def _scenario_columns(cfg: RunConfig, kind: str | None = None) -> tuple[dict, tuple]:
+    """datagen._columns of the config's scenario, as its own kind or as ``kind``
+    from the same block; a path loss past the float range names the block."""
     from . import channel_models as cm, datagen
 
     envs = _load_environments(cfg)
@@ -178,7 +187,8 @@ def _scenario_dataset(cfg: RunConfig, kind: str | None = None) -> datagen.Datase
         budget = datagen.budget_from_dict(cfg.block("budget"))
     with cfg.reading("scenario"):
         block = cfg.block("scenario", datagen.SCENARIO_KEYS)
-        generate, args = datagen.scenario_layout(kind or block.get("kind"), block)
+        kind = kind or block.get("kind")
+        args = datagen.scenario_layout(kind, block)[1]
     models = {"pl_model": cfg.get("pl_model", "a2g_mean")}
     models["plos_model"] = cfg.get("plos_model", "sigmoid")
     for key, model in models.items():
@@ -186,7 +196,12 @@ def _scenario_dataset(cfg: RunConfig, kind: str | None = None) -> datagen.Datase
             cm._check_model(key, model)
         except ConfigurationError as exc:
             raise cfg.fail(key, str(exc)) from None
-    return generate(envs[name], budget=budget, **models, **args)
+    try:
+        return datagen._columns(kind, envs[name], budget=budget, **models, **args)
+    except DomainError as exc:
+        if "pl_db" not in str(exc):  # the budget's or a row's own fault
+            raise
+        raise cfg.fail("scenario", str(exc)) from None
 
 
 def _config_and_out(args) -> tuple[RunConfig, str]:
@@ -205,10 +220,10 @@ def cmd_generate(args) -> int:
     from . import datagen
 
     cfg, out = _config_and_out(args)
-    dataset = _scenario_dataset(cfg)
+    metadata, columns = _scenario_columns(cfg)
     csv_path = os.path.join(out, "dataset.csv")
-    sidecar = datagen.write_dataset(dataset, csv_path)
-    print(f"wrote {len(dataset.samples)} rows to {csv_path}")
+    sidecar = datagen._write_columns(csv_path, metadata, columns)
+    print(f"wrote {len(columns[0])} rows to {csv_path}")
     print(f"wrote metadata to {sidecar}")
     return 0
 
@@ -256,12 +271,12 @@ def cmd_train(args) -> int:
     cfg, out = _config_and_out(args)
     x, y = datagen.read_dataset_arrays(args.dataset)
     net, rbf_cfg, report, digest = _train_model(cfg, x, y)
+    rmse = [
+        _rmse_line("train_rmse_db", report.final_train_rmse_db),
+        _rmse_line("val_rmse_db", report.final_val_rmse_db),
+    ]
     model_path = os.path.join(out, "model.json")
     rbf_net.save_model(model_path, net, rbf_cfg, digest)
-    rmse = [
-        f"train_rmse_db={_fmt(report.final_train_rmse_db)}",
-        f"val_rmse_db={_fmt(report.final_val_rmse_db)}",
-    ]
     report_path = _write_curve(
         cfg, out, "training_report", [f"final_{line}" for line in rmse],
         ["epoch", "mse"], [[e, m] for e, m in enumerate(report.mse_per_epoch)],
@@ -335,11 +350,7 @@ def cmd_eval(args) -> int:
             f"outputs) do not match the dataset"
         )
     err = net.predict(x).reshape(y.shape) - y
-    with np.errstate(over="ignore"):
-        rmse = rbf_net._rmse(err)
-    if not np.isfinite(rmse):  # a finite rmse bounds the other two metrics
-        raise DomainError(f"rmse_db is {rmse}: the errors leave the float range")
-    print(f"rmse_db={_fmt(rmse)}")
+    print(_rmse_line("rmse_db", rbf_net._rmse(err)))  # finite: so are the other two
     print(f"mae_db={_fmt(float(np.mean(np.abs(err))))}")
     print(f"max_abs_error_db={_fmt(float(np.max(np.abs(err))))}")
     return 0
@@ -480,17 +491,19 @@ def _curve_rss(cfg: RunConfig, args, out: str):
     from . import datagen
 
     kind, axis = _RSS_KINDS[args.which]
-    dataset = _scenario_dataset(cfg, kind)
-    model_path = os.path.join(out, "model.json")  # train's, if fit the same way
-    x, y = datagen.features_targets(dataset)
-    net, _, report, _ = _train_model(cfg, x, y, model_path)
+    metadata, columns = _scenario_columns(cfg, kind)
     import numpy as np  # not before the scenario's rows: that raises the peak RSS
 
+    n = len(columns[0])  # the features_targets arrays, D_m to PL_dB and RSS_dBm
+    x = np.column_stack([np.broadcast_to(column, n) for column in columns[2:6]])
+    y = np.array(columns[7]).reshape(n, 1)
+    model_path = os.path.join(out, "model.json")  # train's, if fit the same way
+    net, _, report, _ = _train_model(cfg, x, y, model_path)
     header = [datagen.CSV_HEADER[2 + axis], "rss_empirical_dbm", "rss_predicted_dbm"]
     rows = np.column_stack([x[:, axis], y[:, 0], net.predict(x)[:, 0]])
     notes = [
-        f"environment={dataset.metadata['environment']['name']} scenario={kind}",
-        f"val_rmse_db={_fmt(report.final_val_rmse_db)}",
+        f"environment={metadata['environment']['name']} scenario={kind}",
+        _rmse_line("val_rmse_db", report.final_val_rmse_db),
     ]
     yield args.which, notes, header, rows
 

@@ -6,6 +6,11 @@ fixed ground distance, converts path loss to received signal strength
 through a link budget, and serializes datasets as CSV plus a JSON metadata
 sidecar sufficient to regenerate the file bit for bit.
 
+Generation is one pass that returns a dataset's CSV columns (_columns). The
+gen_* functions wrap them into Samples; the CLI writes them, or turns them
+into arrays, and builds no Sample. write_dataset turns samples into the same
+columns, so one row formatter writes every dataset CSV.
+
 Fading draws use a per-row substream seeded by (budget seed, row index),
 so row order and parallel generation cannot change the output. Generation
 seeds those substreams in one batched pass that is bit-identical to
@@ -21,6 +26,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import dataclass, field, fields
@@ -171,7 +177,8 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _pcg64_states(seed: int, start: int, stop: int):
-    """Yield the PCG64 state of default_rng([seed, i]) for i in range(start, stop).
+    """Yield the PCG64 state of default_rng([seed, i]) for i in range(start, stop),
+    as one dict that is updated in place for each row.
 
     SeedSequence runs on uint32 arrays with one entry per row: the entropy
     words (the seed's, then the index's single word; indices stay below
@@ -198,13 +205,13 @@ def _pcg64_states(seed: int, start: int, stop: int):
     words = np.array([_hashmix(pool[i % _POOL_SIZE], steps) for i in range(8)])
     words = words.astype(np.uint64)
     seed_hi, seed_lo, seq_hi, seq_lo = (words[0::2] | words[1::2] << 32).tolist()
+    state = {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
     for s_hi, s_lo, q_hi, q_lo in zip(seed_hi, seed_lo, seq_hi, seq_lo):
         inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        yield {
-            "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
+        state["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        state["inc"] = inc
+        yield full
 
 
 def _fading_draws_db(budget: LinkBudget, n: int):
@@ -293,24 +300,55 @@ def budget_from_dict(data: dict) -> LinkBudget:
     return LinkBudget(**{**data, "fading": spec})
 
 
-def _generate(
+def _rows(column, n: int):
+    """A dataset column row by row: a list or range as it is, one value n times."""
+    return column if isinstance(column, (list, range)) else itertools.repeat(column, n)
+
+
+def _columns(
     scenario: str,
     env: cm.Environment,
-    geometries: list[tuple[float, float]],
-    f_mhz: float,
-    budget: LinkBudget | None,
-    pl_model: str,
-    plos_model: str,
-    rx_height_m: float,
-    layout: dict,
-) -> Dataset:
-    """Dataset of one scenario's (h, r) rows and its metadata.
+    f_mhz: float = DEFAULT_FREQUENCY_MHZ,
+    budget: LinkBudget | None = None,
+    pl_model: str = "a2g_mean",
+    plos_model: str = "sigmoid",
+    rx_height_m: float = DEFAULT_RX_HEIGHT_M,
+    h_fixed: float | None = None,
+    distances: list[float] | None = None,
+    altitudes: list[float] | None = None,
+    r_ground: float = DEFAULT_GROUND_DISTANCE_M,
+) -> tuple[dict, tuple]:
+    """Metadata and CSV_HEADER columns of a distance_sweep (h_fixed, distances)
+    or an altitude_waypoints (altitudes, r_ground) dataset.
 
-    layout holds the scenario's own metadata keys. The key order is the
-    sidecar's bytes: scenario, environment, layout, then the shared keys.
+    The metadata's key order is the sidecar's bytes: scenario, environment,
+    layout, then the shared keys. A column that holds one value for every row
+    (the scenario, F_MHz and the fixed H_m or D_m) is that value. RSS and the
+    error of the first row whose RSS is not finite, prefixed "row {i}: ", are
+    rss_from_path_loss's.
     """
     from . import channel_models as cm
 
+    if scenario == "distance_sweep":
+        require(ConfigurationError, {"h_fixed": "finite and > 0"}, locals())
+        if len(distances) == 0:
+            raise ConfigurationError("distances must be non-empty")
+        if any(b <= a for a, b in zip(distances, distances[1:])):
+            raise ConfigurationError("distances must be strictly increasing")
+        layout = {"h_m": float(h_fixed), "distances_m": [float(d) for d in distances]}
+        d_m, h_m = layout["distances_m"], layout["h_m"]  # H_m: one value
+    else:
+        if altitudes is None:
+            altitudes = list(DEFAULT_ALTITUDES_M)
+        if len(altitudes) == 0:
+            raise ConfigurationError("altitudes must be non-empty")
+        if any(h <= 0.0 for h in altitudes):
+            raise ConfigurationError("altitudes must all be positive")
+        require(ConfigurationError, {"r_ground": "finite and >= 0"}, locals())
+        layout = {
+            "altitudes_m": [float(h) for h in altitudes], "r_ground_m": float(r_ground),
+        }
+        d_m, h_m = layout["r_ground_m"], layout["altitudes_m"]  # D_m: one value
     require(ConfigurationError, {"rx_height_m": "finite and >= 0"}, locals())
     budget = LinkBudget() if budget is None else budget
     metadata = {
@@ -323,23 +361,28 @@ def _generate(
         "rx_height_m": float(rx_height_m),
         "budget": _budget_to_dict(budget),
     }
+    n = len(d_m if isinstance(d_m, list) else h_m)
     path_loss, plos = cm._channel_rows(
-        env, geometries, f_mhz, pl_model, plos_model, rx_height_m
+        env, zip(_rows(h_m, n), _rows(d_m, n)), f_mhz, pl_model, plos_model, rx_height_m
     )
-    draws = _fading_draws_db(budget, len(geometries))
-    samples = []
-    for i, ((h_m, d_m), pl, p, draw) in enumerate(
-        zip(geometries, path_loss, plos, draws)
-    ):
+    draws = list(_fading_draws_db(budget, n))  # zeros when off: x - 0.0 is x
+    gain = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi
+    rss = list(map(operator.sub, map(operator.sub, itertools.repeat(gain), path_loss),
+                   draws))  # (gain - pl) - draw, rss_from_path_loss's order
+    if not all(map(math.isfinite, rss)):
+        i = next(i for i, value in enumerate(rss) if not math.isfinite(value))
         try:
-            rss = rss_from_path_loss(budget, pl, draw)
+            rss_from_path_loss(budget, path_loss[i], draws[i])
         except DomainError as exc:
             raise DomainError(f"row {i}: {exc}") from None
-        samples.append(Sample(
-            index=i, scenario=scenario, d_m=d_m, h_m=h_m, f_mhz=float(f_mhz),
-            pl_db=pl, plos=p, rss_dbm=rss,
-        ))
-    return Dataset(samples=samples, metadata=metadata)
+    return metadata, (range(n), scenario, d_m, h_m, float(f_mhz), path_loss, plos, rss)
+
+
+def _dataset(metadata: dict, columns: tuple) -> Dataset:
+    """The Dataset of _columns' metadata and columns: one Sample per row."""
+    n = len(columns[0])
+    samples = list(map(Sample, *(_rows(column, n) for column in columns)))
+    return Dataset(samples, metadata)
 
 
 def gen_distance_sweep(
@@ -353,17 +396,7 @@ def gen_distance_sweep(
     rx_height_m: float = DEFAULT_RX_HEIGHT_M,
 ) -> Dataset:
     """Distance-sweep scenario: fixed altitude, increasing ground distance."""
-    require(ConfigurationError, {"h_fixed": "finite and > 0"}, locals())
-    if len(distances) == 0:
-        raise ConfigurationError("distances must be non-empty")
-    if any(b <= a for a, b in zip(distances, distances[1:])):
-        raise ConfigurationError("distances must be strictly increasing")
-    layout = {"h_m": float(h_fixed), "distances_m": [float(d) for d in distances]}
-    geometries = [(layout["h_m"], d) for d in layout["distances_m"]]
-    return _generate(
-        "distance_sweep", env, geometries, f_mhz, budget,
-        pl_model, plos_model, rx_height_m, layout,
-    )
+    return _dataset(*_columns("distance_sweep", **locals()))
 
 
 def gen_altitude_waypoints(
@@ -380,21 +413,7 @@ def gen_altitude_waypoints(
 
     The default waypoint list is 20, 40, ..., 200 m.
     """
-    if altitudes is None:
-        altitudes = list(DEFAULT_ALTITUDES_M)
-    if len(altitudes) == 0:
-        raise ConfigurationError("altitudes must be non-empty")
-    if any(h <= 0.0 for h in altitudes):
-        raise ConfigurationError("altitudes must all be positive")
-    require(ConfigurationError, {"r_ground": "finite and >= 0"}, locals())
-    layout = {
-        "altitudes_m": [float(h) for h in altitudes], "r_ground_m": float(r_ground),
-    }
-    geometries = [(h, layout["r_ground_m"]) for h in layout["altitudes_m"]]
-    return _generate(
-        "altitude_waypoints", env, geometries, f_mhz, budget,
-        pl_model, plos_model, rx_height_m, layout,
-    )
+    return _dataset(*_columns("altitude_waypoints", **locals()))
 
 
 # The keys of a run config's scenario block, both kinds'; a sidecar has more.
@@ -540,26 +559,46 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-3]
 
 
-def write_dataset(dataset: Dataset, csv_path: str) -> str:
-    """Write the CSV and its JSON metadata sidecar; returns sidecar path.
+# Each CSV_HEADER column's text from its values; a scenario is quoted once.
+_FIELDS = (
+    lambda column: map(str, column),
+    lambda column: map({s: _csv_field(s) for s in set(column)}.__getitem__, column),
+    *[lambda column: map(repr, map(float, column))] * 6,
+)
 
-    Floats are written in repr form (shortest exact round-trip), line
-    endings are line feeds; the bytes are csv.writer's but for a quoted CR.
+
+def _write_columns(csv_path: str, metadata: dict, columns: tuple) -> str:
+    """Write dataset columns, as _columns returns them, and the metadata sidecar;
+    returns the sidecar path. A one-value column's text is made once. Floats
+    are written in repr form (shortest exact round-trip), line endings are
+    line feeds; the bytes are csv.writer's but for a quoted CR.
     """
-    scenarios = {sc: _csv_field(sc) for sc in {s.scenario for s in dataset.samples}}
+    n = len(columns[0])
+    cells = [
+        fmt(column) if isinstance(column, (list, range))
+        else itertools.repeat(next(fmt([column])), n)
+        for fmt, column in zip(_FIELDS, columns)
+    ]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         fh.writelines(
-            f"{s.index},{scenarios[s.scenario]},{float(s.d_m)!r},{float(s.h_m)!r},"
-            f"{float(s.f_mhz)!r},{float(s.pl_db)!r},{float(s.plos)!r},"
-            f"{float(s.rss_dbm)!r}\n"
-            for s in dataset.samples
+            f"{i},{sc},{d},{h},{f},{pl},{p},{rss}\n"
+            for i, sc, d, h, f, pl, p, rss in zip(*cells)
         )
     sidecar = metadata_path_for(csv_path)
     with open(sidecar, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(dataset.metadata, fh, indent=2)
+        json.dump(metadata, fh, indent=2)
         fh.write("\n")
     return sidecar
+
+
+def write_dataset(dataset: Dataset, csv_path: str) -> str:
+    """Write the CSV and its JSON metadata sidecar; returns sidecar path. The
+    samples go to the row formatter as columns: index as str(), the floats as
+    repr(float())."""
+    rows = map(operator.attrgetter(*(f.name for f in fields(Sample))), dataset.samples)
+    columns = [list(column) for column in zip(*rows)] or [[]] * len(CSV_HEADER)
+    return _write_columns(csv_path, dataset.metadata, columns)
 
 
 def _csv_rows(path: str, parse, *headers: list[str]):

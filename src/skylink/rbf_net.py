@@ -422,7 +422,8 @@ def train_step(
 
 
 def _rmse(errors: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(errors))))
+    with np.errstate(over="ignore"):  # errors past about 1e154 give inf
+        return float(np.sqrt(np.mean(np.square(errors))))
 
 
 def train(
@@ -598,4 +599,11 @@ def load_model(path: str, digest: str | None = None) -> tuple[RbfNetwork, RbfCon
         net = RbfNetwork(doc["centers"], doc["spans"], doc["weights"], norm)
     except (TypeError, ValueError) as exc:  # the keys are checked above
         raise SchemaError(f"{path}: malformed model document: {exc}") from exc
+    low = np.flatnonzero(net.spans < SPAN_FLOOR)  # training never writes one
+    if low.size:
+        j = int(low[0])
+        raise SchemaError(
+            f"{path}: spans[{j}] must be >= SPAN_FLOOR={SPAN_FLOOR!r}, "
+            f"got {float(net.spans[j])!r}"
+        )
     return net, config

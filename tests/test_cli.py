@@ -59,6 +59,15 @@ def train(workspace, dataset, *extra):
     return tmp / "out" / "model.json", proc
 
 
+# Scenario values whose slant range, and so path loss, leaves the float range.
+WAYPOINTS = {"kind": "altitude_waypoints"}
+OVERFLOWING_GEOMETRIES = [
+    {"h_m": 1e308}, {"distances_m": [1e308]},
+    {**WAYPOINTS, "altitudes_m": [1e308]}, {**WAYPOINTS, "r_ground_m": 1e308},
+]
+OVERFLOWING_GEOMETRIES_IDS = ["h_m", "distances_m-list", "altitudes_m", "r_ground_m"]
+
+
 class TestGenerate:
     def test_writes_dataset_and_sidecar(self, workspace):
         tmp, cfg = workspace
@@ -195,7 +204,10 @@ class TestGenerate:
             "must be finite, got 1.7e+308 - -1.7e+308",
         ),
         ({"f_mhz": 1e308}, "f_mhz=1e+308: f_c must be finite and > 0, got inf"),
-    ], ids=["distances_m", "f_mhz"])
+    ] + [
+        (scenario, "run.json:{line}: scenario: row 0: pl_db must be finite, got inf")
+        for scenario in OVERFLOWING_GEOMETRIES
+    ], ids=["distances_m", "f_mhz", *OVERFLOWING_GEOMETRIES_IDS])
     def test_config_value_that_overflows_names_its_key(
         self, tmp_path, env_file, scenario, message
     ):
@@ -546,7 +558,10 @@ FUZZ_LEAVES = [("config", p) for p in json_leaves(fuzz_config())] + [
 ]
 # No huge int: rbf.epochs = 2**70 is a valid config that trains for ever.
 # test_value_that_is_no_float_names_its_key puts 2**1100 in each kind of number.
-FUZZ_VALUES = [None, True, "x", -1, 0, 2.5, math.nan, math.inf, -math.inf, [], {}]
+FUZZ_VALUES = [
+    None, True, "x", -1, 0, 2.5, math.nan, math.inf, -math.inf, [], {},
+    1e308, -1e308, 5e-324, [1e308],
+]
 FUZZ_COMMANDS = [
     ["generate"], ["train", "out/dataset.csv"], ["curves", "rician"],
     ["curves", "plos_fit"],
@@ -575,7 +590,28 @@ def test_fuzzed_config_leaf_never_escapes(leaf, value):
             code, _, stderr = run_main(command, "--config", "run.json", *rest)
             assert code in (0, 1, 2)
             if code:
-                assert stderr.splitlines()[-1].startswith("error: ")
+                assert len(stderr.splitlines()) == 1
+                assert stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["train", "curves rss_distance"])
+def test_rmse_past_the_float_range_exits_2(tmp_path, command):
+    """An environment with eps_nlos_db=1e308 gives RSS near -3e306: generate
+    writes it, but the fit's errors square past the float range, so train and
+    the rss curves exit 2 naming the RMSE, as eval does, and write nothing."""
+    envs = copy.deepcopy(ENVIRONMENTS)
+    envs[1]["eps_nlos_db"] = 1e308
+    with contextlib.chdir(tmp_path):
+        write_json(Path("environments.json"), envs)
+        write_json(Path("run.json"), fuzz_config())
+        assert run_main("generate", "--config", "run.json")[0] == 0
+        name, *rest = command.split()
+        argv = [name, *rest, "--config", "run.json", "--out", "fit"]
+        argv += ["out/dataset.csv"] if name == "train" else []
+        metric = "train_rmse_db" if name == "train" else "val_rmse_db"
+        message = f"error: {metric} is inf: the errors leave the float range\n"
+        assert run_main(*argv) == (2, "", message)
+        assert os.listdir("fit") == []
 
 
 class TestScenarioBlock:
@@ -934,7 +970,8 @@ def test_fuzzed_csv_never_escapes(small_run, features, mutation, line, column, v
             code, stdout, stderr = run_main(*argv)
             assert code in (0, 1, 2)
             if code:
-                assert stderr.splitlines()[-1].startswith("error: ")
+                assert len(stderr.splitlines()) == 1
+                assert stderr.startswith("error: ")
             if argv[0] == "train" and rejected:
                 assert (code, stdout, stderr) == rejected
 
@@ -1035,7 +1072,13 @@ def test_non_finite_model_array_exits_2(small_run, tmp_path, edits, message):
      "match the dataset"),
     ("predict --row 1,2,3,4", "array", "{model}: model document must be a JSON object"),
     ("eval", "y_min_huge", "rmse_db is inf: the errors leave the float range"),
-], ids=["row_not_numbers", "eval_dimensions", "model_not_an_object", "eval_overflows"])
+] + [
+    (command, "span_subnormal", "{model}: spans[1] must be >= SPAN_FLOOR=1e-06, "
+     "got 5e-324") for command in ("predict --row 1000,100,2000,100", "eval")
+], ids=[
+    "row_not_numbers", "eval_dimensions", "model_not_an_object", "eval_overflows",
+    "predict_span_below_floor", "eval_span_below_floor",
+])
 def test_model_command_input_errors_exit_2(small_run, tmp_path, command, edit, message):
     doc = json.loads((small_run / "out" / "model.json").read_text(encoding="utf-8"))
     if edit == "three_features":  # a model of (D, H, F) features
@@ -1044,6 +1087,8 @@ def test_model_command_input_errors_exit_2(small_run, tmp_path, command, edit, m
             doc["norm_stats"][key] = doc["norm_stats"][key][:3]
     elif edit == "y_min_huge":  # predictions near -1e308: finite, their squares not
         doc["norm_stats"].update(y_min=[-1e308], y_max=[0.0])
+    elif edit == "span_subnormal":  # positive, but 1/delta^2 overflows
+        doc["spans"][1] = 5e-324
     model = tmp_path / "model.json"
     write_json(model, [doc] if edit == "array" else doc)
     name, *rest = command.split()
@@ -1092,6 +1137,73 @@ def test_model_commands_print_what_the_per_row_loops_printed(small_run, monkeypa
     for path in (dataset, str(small_run / "features.csv")):
         assert run_main("predict", model, "--input", path)[:2] == (0, want_predict)
     assert run_main("eval", model, dataset)[:2] == (0, want_eval)
+
+
+def scenario_dataset(cfg: dict, kind: str, env_dir: Path) -> datagen.Dataset:
+    """The gen_* dataset of a run config's scenario block, read as ``kind``."""
+    generate, args = datagen.scenario_layout(kind, cfg["scenario"])
+    env = load_environments(env_dir / cfg["environment_file"])[cfg["environment"]]
+    return generate(
+        env, budget=budget_from_dict(cfg["budget"]), pl_model=cfg["pl_model"],
+        plos_model=cfg["plos_model"], **args,
+    )
+
+
+SWEEP_2001 = {"distances_m": {"start": 50.0, "stop": 5000.0, "count": 2001}}
+RICIAN = {"kind": "rician", "s": 1.0, "delta": 0.3}
+
+
+@pytest.mark.parametrize("scenario, fading, plos_model", [
+    (SWEEP_2001, {"kind": "off"}, "sigmoid"),
+    (SWEEP_2001, RICIAN, "product"),
+    (SWEEP_2001, {"kind": "gaussian_shadow", "sigma_db": 3.0}, "holis"),
+    ({**WAYPOINTS, "altitudes_m": [12.5, 40.0, 95.25, 300.0], "r_ground_m": 750.0},
+     RICIAN, "sigmoid"),
+], ids=["sweep-off", "sweep-rician", "sweep-gaussian_shadow", "waypoints-rician"])
+def test_generate_writes_what_write_dataset_writes(
+    tmp_path, monkeypatch, scenario, fading, plos_model
+):
+    """generate builds no Sample, and its dataset.csv and dataset.json are the
+    bytes write_dataset writes for the gen_* dataset of the same config. The
+    sweeps have 2 001 rows, so their draws cross a 1 024-row _SEED_CHUNK."""
+    cfg = {**fuzz_config(), "plos_model": plos_model}
+    cfg["scenario"].update(scenario)
+    cfg["budget"]["fading"] = fading
+    monkeypatch.chdir(tmp_path)
+    write_json(Path("environments.json"), ENVIRONMENTS)
+    write_json(Path("run.json"), cfg)
+    dataset = scenario_dataset(cfg, cfg["scenario"]["kind"], tmp_path)
+    datagen.write_dataset(dataset, "want.csv")
+    monkeypatch.setattr(datagen, "Sample", no_sample)
+    assert run_main("generate", "--config", "run.json") == (0, (
+        f"wrote {len(dataset.samples)} rows to out/dataset.csv\n"
+        "wrote metadata to out/dataset.json\n"
+    ), "")
+    for name in ("dataset.csv", "dataset.json"):
+        want = Path("want" + os.path.splitext(name)[1]).read_bytes()
+        assert (tmp_path / "out" / name).read_bytes() == want
+
+
+@pytest.mark.parametrize("which", ["rss_distance", "rss_altitude"])
+def test_rss_curves_build_no_sample(small_run, tmp_path, monkeypatch, which):
+    """curves rss_* turn the scenario's columns into arrays: with datagen.Sample
+    raising, each writes and prints what an unpatched run does, and its x and
+    empirical columns are features_targets' of the gen_* dataset."""
+    argv = ["curves", which, "--config", str(small_run / "run.json"), "--out"]
+    plain = run_main(*argv, str(tmp_path / "plain"))
+    monkeypatch.setattr(datagen, "Sample", no_sample)
+    patched = run_main(*argv, str(tmp_path / "patched"))
+    monkeypatch.undo()
+    stdout = plain[1].replace(str(tmp_path / "plain"), str(tmp_path / "patched"))
+    assert plain[0] == 0 and patched == (0, stdout, plain[2])
+    name = f"{which}.csv"
+    got = (tmp_path / "patched" / name).read_bytes()
+    assert got == (tmp_path / "plain" / name).read_bytes()
+    kind, axis = cli._RSS_KINDS[which]
+    cfg = json.loads((small_run / "run.json").read_text(encoding="utf-8"))
+    x, y = features_targets(scenario_dataset(cfg, kind, small_run))
+    rows = read_curve_csv(tmp_path / "patched" / name)[2]
+    assert [row[:2] for row in rows] == np.column_stack([x[:, axis], y[:, 0]]).tolist()
 
 
 def test_predict_prints_every_row_of_a_long_input(small_run, tmp_path):

@@ -363,6 +363,19 @@ class TestDistanceSweep:
             gen_distance_sweep(urban, 100.0, [-5.0, 100.0])
         assert "row 0" in str(excinfo.value)
 
+    def test_first_row_without_a_finite_rss_names_its_fault(self, urban):
+        """rss_from_path_loss's error of the first row whose RSS is not finite:
+        a path loss past the float range, or before it a draw past it."""
+        distances = [100.0 * (i + 1) for i in range(30)] + [1e308]
+        with pytest.raises(DomainError, match=r"^row 30: pl_db must be finite, got inf$"):
+            gen_distance_sweep(urban, 100.0, distances)
+        budget = LinkBudget(fading=FadingSpec(kind="gaussian_shadow", sigma_db=1e308))
+        draws = [fading_draw_db(budget, i) for i in range(30)]
+        first = [math.isfinite(draw) for draw in draws].index(False)  # row 15
+        message = f"^row {first}: rss_dbm must be finite, got {-draws[first]!r}$"
+        with pytest.raises(DomainError, match=message):
+            gen_distance_sweep(urban, 100.0, distances, budget=budget)
+
 
 class TestAltitudeWaypoints:
     def test_default_waypoints(self, urban):

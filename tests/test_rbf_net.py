@@ -935,6 +935,7 @@ class TestPersistence:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_round_trip_is_bit_exact_for_any_finite_parameters(self, data):
+        """Any finite parameters a model may hold, spans at or above SPAN_FLOOR."""
         finite = st.floats(allow_nan=False, allow_infinity=False)
         rate = st.floats(min_value=0.0, allow_infinity=False)
         m, d, out = (data.draw(st.integers(1, n)) for n in (4, 3, 2))
@@ -954,8 +955,7 @@ class TestPersistence:
             return list(lo), list(hi)
 
         norm = NormStats(*bounds(d), *bounds(out))
-        positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
-        spans = array((m,), positive)
+        spans = array((m,), st.floats(min_value=SPAN_FLOOR, allow_infinity=False))
         net = RbfNetwork(array((m, d)), spans, array((out, m)), norm)
         config = RbfConfig(
             m_hidden=m, input_dim=d, output_dim=out, tau_w=data.draw(rate),
