@@ -25,7 +25,6 @@ from .errors import (
     open_utf8,
     parse_json,
     require,
-    require_finite,
 )
 
 logger = logging.getLogger(__name__)
@@ -245,10 +244,9 @@ class HataParams:
     h_m: float
 
     def __post_init__(self):
-        for name in ("f_mhz", "h_b", "h_m"):
-            v = require_finite(name, getattr(self, name))
-            if v <= 0.0:
-                raise DomainError(f"{name} must be > 0, got {v}")
+        for name in ("f_mhz", "h_b", "h_m"):  # finite, then > 0 as its float
+            checked = require(DomainError, {name: "finite"}, vars(self))
+            require(DomainError, {name: "> 0"}, checked)
         ranges = (
             ("f_mhz", self.f_mhz, HATA_FREQ_RANGE_MHZ, "MHz"),
             ("h_b", self.h_b, HATA_BASE_HEIGHT_RANGE_M, "m"),
@@ -278,9 +276,8 @@ def hata_path_loss(params: HataParams, d_km: float) -> float:
     A = 69.55 + 26.16 log10(f) - 13.82 log10(h_b) - a(h_m)
     B = 44.9 - 6.55 log10(h_b)
     """
-    d_km = require_finite("d_km", d_km)
-    if d_km <= 0.0:
-        raise DomainError(f"d_km must be > 0, got {d_km}")
+    d_km = require(DomainError, {"d_km": "finite"}, locals())["d_km"]
+    require(DomainError, {"d_km": "> 0"}, locals())
     a = 69.55 + 26.16 * math.log10(params.f_mhz) \
         - 13.82 * math.log10(params.h_b) - hata_correction(params)
     b = 44.9 - 6.55 * math.log10(params.h_b)
@@ -352,18 +349,16 @@ def plos_product(
     (m + 1), reproducing a variant without the per-building position
     scaling; "canonical" is the default.
     """
-    h_t = require_finite("h_t", h_t)
-    h_r = require_finite("h_r", h_r)
+    h_t, h_r = require(DomainError, {"h_t": "finite", "h_r": "finite"}, locals()).values()
     if r != math.inf:  # +inf is the no-LoS limit
-        r = require_finite("r", r)
+        r = require(DomainError, {"r": "finite"}, locals())["r"]
     if mode not in ("canonical", "paper_literal"):
         raise ConfigurationError(f"unknown plos_product mode {mode!r}")
     if h_r < 0.0 or h_t <= h_r:
         raise DomainError(
             f"need h_t > h_r >= 0, got h_t={h_t}, h_r={h_r}"
         )
-    if r < 0.0:
-        raise DomainError(f"r must be >= 0, got {r}")
+    require(DomainError, {"r": ">= 0"}, locals())
     if math.isinf(r):
         return 0.0
     m = math.floor((r / 1000.0) * math.sqrt(env.alpha * env.beta) - 1.0)
@@ -395,14 +390,13 @@ def plos_holis(env: Environment, theta_deg: float) -> float:
     returns the low-angle asymptote c2. Values outside [0, 1] (possible
     for extreme parameters) are clamped with a logged diagnostic.
     """
-    theta_deg = require_finite("theta_deg", theta_deg)
+    theta_deg = require(DomainError, {"theta_deg": "finite"}, locals())["theta_deg"]
     if env.c is None:
         raise ConfigurationError(
             f"environment {env.name!r} has no c parameters; "
             "the elevation-curve P_LoS model is unavailable"
         )
-    if not (0.0 <= theta_deg <= 90.0):
-        raise DomainError(f"theta_deg must be in [0, 90], got {theta_deg}")
+    require(DomainError, {"theta_deg": "in [0, 90]"}, locals())
     c1, c2, c3, c4, c5 = env.c
     if theta_deg <= c3:
         p = c2
@@ -429,14 +423,13 @@ def plos_sigmoid(env: Environment, theta_deg: float) -> float:
     Strictly increasing in theta for a, b > 0; a acts both as the curve
     coefficient and as the angle offset.
     """
-    theta_deg = require_finite("theta_deg", theta_deg)
+    theta_deg = require(DomainError, {"theta_deg": "finite"}, locals())["theta_deg"]
     if env.sigmoid is None:
         raise ConfigurationError(
             f"environment {env.name!r} has no sigmoid parameters; "
             "the S-curve P_LoS model is unavailable"
         )
-    if not (0.0 <= theta_deg <= 90.0):
-        raise DomainError(f"theta_deg must be in [0, 90], got {theta_deg}")
+    require(DomainError, {"theta_deg": "in [0, 90]"}, locals())
     a, b = env.sigmoid
     try:
         return 1.0 / (1.0 + a * math.exp(-b * (theta_deg - a)))

@@ -176,7 +176,8 @@ def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
 
 def _scenario_columns(cfg: RunConfig, kind: str | None = None) -> tuple[dict, tuple]:
     """datagen._columns of the config's scenario, as its own kind or as ``kind``
-    from the same block; a path loss past the float range names the block."""
+    from the same block; a row's fault names the budget block if its RSS is
+    not finite, and the scenario block otherwise."""
     from . import channel_models as cm, datagen
 
     envs = _load_environments(cfg)
@@ -199,9 +200,11 @@ def _scenario_columns(cfg: RunConfig, kind: str | None = None) -> tuple[dict, tu
     try:
         return datagen._columns(kind, envs[name], budget=budget, **models, **args)
     except DomainError as exc:
-        if "pl_db" not in str(exc):  # the budget's or a row's own fault
+        message = str(exc)
+        if not message.startswith("row "):  # a config value's own fault
             raise
-        raise cfg.fail("scenario", str(exc)) from None
+        key = "budget" if "rss_dbm" in message else "scenario"
+        raise cfg.fail(key, message) from None
 
 
 def _config_and_out(args) -> tuple[RunConfig, str]:
@@ -386,7 +389,10 @@ def _curve_rician(cfg: RunConfig, args, out: str):
             )
     if rician_points < 2:
         raise cfg.fail("curves", f"rician_points must be >= 2, got {rician_points}")
-    grid = np.linspace(0.0, rician_r_max, rician_points)
+    try:
+        grid = np.linspace(0.0, rician_r_max, rician_points)
+    except (IndexError, MemoryError, ValueError):  # a size past memory or an index
+        raise MemoryError(f"cannot allocate a grid of {rician_points} points") from None
     unit = "dB" if in_db else ""
     labels, columns = [], []
     for i, k in enumerate(k_list):

@@ -32,7 +32,7 @@ import sys
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigurationError, DomainError, SchemaError
-from .errors import as_numbers, open_utf8, parse_json, require, require_finite
+from .errors import as_numbers, open_utf8, parse_json, require
 
 CSV_HEADER = ["index", "scenario", "D_m", "H_m", "F_MHz", "PL_dB", "PLOS", "RSS_dBm"]
 CURVE_CHUNK = 256  # rows per write of write_curve_csv
@@ -235,12 +235,10 @@ def _fading_draws_db(budget: LinkBudget, n: int):
 
 def rss_from_path_loss(budget: LinkBudget, pl_db: float, draw_db: float = 0.0) -> float:
     """Received signal strength in dBm for a path loss and fading draw."""
-    pl_db = require_finite("pl_db", pl_db)
+    pl_db = require(DomainError, {"pl_db": "finite"}, locals())["pl_db"]
     term = 0.0 if budget.fading.kind == "off" else draw_db
     rss = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi - pl_db - term
-    if not math.isfinite(rss):
-        raise DomainError(f"rss_dbm must be finite, got {rss!r}")
-    return rss
+    return require(DomainError, {"rss_dbm": "finite"}, {"rss_dbm": rss})["rss_dbm"]
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import math
 import numbers
 import sys
 
@@ -108,17 +107,10 @@ def require(error: type, table: dict, values, prefix: str = "") -> dict:
     checked = {}
     for name, rule in table.items():
         value, terms = values[name], rule.split(" and ")
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not all(
-            RULES[term](value) for term in terms
-        ):
-            raise error(f"{prefix}{name} must be {rule}, got {value!r}")
+        real = isinstance(value, float) or (  # a float skips numbers.Real's slow check
+            not isinstance(value, bool) and isinstance(value, numbers.Real))
+        for term in terms:  # a loop, not all(): the per-row functions call this
+            if not (real and RULES[term](value)):
+                raise error(f"{prefix}{name} must be {rule}, got {value!r}")
         checked[name] = value if "int" in terms else float(value)
     return checked
-
-
-def require_finite(name: str, value) -> float:
-    """require(DomainError, {name: "finite"})'s float of value; a finite
-    float returns at once, as the per-row channel functions need."""
-    if type(value) is float and math.isfinite(value):
-        return value
-    return require(DomainError, {name: "finite"}, {name: value})[name]

@@ -59,7 +59,8 @@ class RbfConfig:
     """Network architecture and training hyperparameters.
 
     tau_delta defaults to tau_mu when left as None. Learning rates may be
-    zero (frozen parameters) but not negative.
+    zero (frozen parameters) but not negative; each given one is kept as its
+    float, so a huge int trains as the float it rounds to.
     """
 
     m_hidden: int = 20
@@ -73,13 +74,16 @@ class RbfConfig:
     update_mode: str = "derived_gradient"
 
     def __post_init__(self):
-        require(ConfigurationError, {
+        checked = require(ConfigurationError, {
             "m_hidden": "int and > 0", "input_dim": "int and > 0",
             "output_dim": "int and > 0", "epochs": "int and > 0",
             "seed": "int and >= 0",
             "tau_w": "finite and >= 0", "tau_mu": "finite and >= 0",
             "tau_delta": "finite and >= 0",  # checked as tau_mu when None
         }, {**vars(self), "tau_delta": self.effective_tau_delta})
+        if self.tau_delta is None:  # left out: the config echo keeps its null
+            del checked["tau_delta"]
+        vars(self).update(checked)
         if self.update_mode not in UPDATE_MODES:
             raise ConfigurationError(
                 f"update_mode must be one of {UPDATE_MODES}, got {self.update_mode!r}"

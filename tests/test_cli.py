@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from skylink import (
     SchemaError, budget_from_dict, cli, datagen, fading, features_targets,
@@ -152,10 +152,14 @@ class TestGenerate:
         cfg = base_run_config(env_file)
         cfg["budget"].update(tx_power_dbm=1e308, tx_gain_dbi=1e308)
         write_json(tmp_path / "run.json", cfg)
+        lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+        line = lines.index('  "budget": {') + 1
         with contextlib.chdir(tmp_path):
             code, stdout, stderr = run_main("generate", "--config", "run.json")
         assert (code, stdout) == (2, "")
-        assert stderr == "error: row 0: rss_dbm must be finite, got inf\n"
+        assert stderr == (
+            f"error: run.json:{line}: budget: row 0: rss_dbm must be finite, got inf\n"
+        )
         assert not (tmp_path / "out" / "dataset.csv").exists()
 
     @pytest.mark.parametrize("s, delta, power", [
@@ -193,9 +197,12 @@ class TestGenerate:
         cfg = base_run_config(env_file)
         cfg["budget"]["fading"] = spec
         write_json(tmp_path / "run.json", cfg)
+        lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+        line = lines.index('  "budget": {') + 1
         with contextlib.chdir(tmp_path):
             code, stdout, stderr = run_main("generate", "--config", "run.json")
-        assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+        located = f"error: run.json:{line}: budget: {message}\n"
+        assert (code, stdout, stderr) == (2, "", located)
 
     @pytest.mark.parametrize("scenario, message", [
         (
@@ -220,6 +227,37 @@ class TestGenerate:
             code, stdout, stderr = run_main("generate", "--config", "run.json")
         assert (code, stdout) == (2, "")
         assert stderr == f"error: {message.format(line=line)}\n"
+
+    @pytest.mark.parametrize("top, block, message", [
+        (
+            {"budget": {"fading": {"kind": "gaussian_shadow", "sigma_db": 1e308}}},
+            "budget", "row 17: rss_dbm must be finite, got -inf",
+        ),
+        (
+            {"plos_model": "product", "scenario": {
+                "kind": "altitude_waypoints", "rx_height_m": 150, "altitudes_m": [100, 200],
+            }},
+            "scenario", "row 0: need h_t > h_r >= 0, got h_t=100.0, h_r=150.0",
+        ),
+        (
+            {"scenario": {"distances_m": [-5.0, 10.0]}}, "scenario",
+            "row 0: geometry requires h >= 0 and r >= 0, got h=100.0, r=-5.0",
+        ),
+    ], ids=["rss_dbm", "h_r-above-h_t", "negative-distance"])
+    def test_row_fault_names_its_block(self, tmp_path, env_file, top, block, message):
+        """A row's fault names the budget block if its RSS is not finite, and
+        the scenario block otherwise; the library's text follows unchanged."""
+        cfg = base_run_config(env_file)
+        for key, value in top.items():
+            cfg[key] = {**cfg[key], **value} if isinstance(value, dict) else value
+        write_json(tmp_path / "run.json", cfg)
+        lines = (tmp_path / "run.json").read_text(encoding="utf-8").splitlines()
+        line = lines.index(f'  "{block}": {{') + 1
+        with contextlib.chdir(tmp_path):
+            code, stdout, stderr = run_main("generate", "--config", "run.json")
+        located = f"error: run.json:{line}: {block}: {message}\n"
+        assert (code, stdout, stderr) == (2, "", located)
+        assert not (tmp_path / "out" / "dataset.csv").exists()
 
     @pytest.mark.parametrize("count", [2**62, 2**1100], ids=["memory", "index"])
     def test_grid_past_memory_or_index_exits_1(self, tmp_path, env_file, count):
@@ -553,19 +591,45 @@ def fuzz_config():
     return cfg
 
 
-FUZZ_LEAVES = [("config", p) for p in json_leaves(fuzz_config())] + [
-    ("environment", p) for p in json_leaves(ENVIRONMENTS[1])  # the selected one
+def fuzz_bases():
+    """fuzz_config, and two variants that reach the other channel paths:
+    altitude waypoints with product P_LoS and Rician fading, and holis P_LoS
+    with Gaussian shadowing."""
+    waypoints, holis = fuzz_config(), fuzz_config()
+    waypoints["plos_model"] = "product"
+    waypoints["scenario"].update(
+        kind="altitude_waypoints", altitudes_m=[20.0 * (i + 1) for i in range(10)],
+        r_ground_m=500.0,
+    )
+    waypoints["budget"]["fading"] = {"kind": "rician", "s": 1.0, "delta": 0.5}
+    holis["plos_model"] = "holis"
+    holis["budget"]["fading"] = {"kind": "gaussian_shadow", "sigma_db": 3.0}
+    return [fuzz_config(), waypoints, holis]
+
+
+FUZZ_BASES = fuzz_bases()
+# (base, document, path): each leaf of each base config and of the selected
+# environment
+FUZZ_LEAVES = [
+    (base, document, path)
+    for base, cfg in enumerate(FUZZ_BASES)
+    for document, node in (("config", cfg), ("environment", ENVIRONMENTS[1]))
+    for path in json_leaves(node)
 ]
-# No huge int: rbf.epochs = 2**70 is a valid config that trains for ever.
+HUGE_INT = 2**70  # valid for rbf.epochs too, which then trains for ever
 # test_value_that_is_no_float_names_its_key puts 2**1100 in each kind of number.
 FUZZ_VALUES = [
     None, True, "x", -1, 0, 2.5, math.nan, math.inf, -math.inf, [], {},
-    1e308, -1e308, 5e-324, [1e308],
+    1e308, -1e308, 5e-324, [1e308], HUGE_INT,
 ]
 FUZZ_COMMANDS = [
     ["generate"], ["train", "out/dataset.csv"], ["curves", "rician"],
-    ["curves", "plos_fit"],
+    ["curves", "plos_fit"], ["curves", "rss_distance"],
 ]
+# Texts of a Python fault passed on as the message of an error line
+RAW_PYTHON = (
+    "object has no attribute", "is not iterable", "unexpected keyword", "py.warnings",
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -575,10 +639,12 @@ def test_fuzzed_config_leaf_never_escapes(leaf, value):
 
     Exit 2 is a rejected input. Exit 1 is a runtime failure such as a sigmoid
     fit without samples strictly inside (0, 1), which a degenerate but valid
-    environment gives. Either ends in an `error:` line; no exception escapes.
+    environment gives. Either ends in one `error:` line that holds no raw
+    Python text; no exception escapes.
     """
-    cfg, envs = fuzz_config(), copy.deepcopy(ENVIRONMENTS)
-    document, path = leaf
+    base, document, path = leaf
+    assume(not (path == ("rbf", "epochs") and value == HUGE_INT))
+    cfg, envs = copy.deepcopy(FUZZ_BASES[base]), copy.deepcopy(ENVIRONMENTS)
     node = cfg if document == "config" else envs[1]
     for part in path[:-1]:
         node = node[part]
@@ -592,6 +658,7 @@ def test_fuzzed_config_leaf_never_escapes(leaf, value):
             if code:
                 assert len(stderr.splitlines()) == 1
                 assert stderr.startswith("error: ")
+                assert not any(text in stderr for text in RAW_PYTHON), stderr
 
 
 @pytest.mark.parametrize("command", ["train", "curves rss_distance"])
@@ -612,6 +679,47 @@ def test_rmse_past_the_float_range_exits_2(tmp_path, command):
         message = f"error: {metric} is inf: the errors leave the float range\n"
         assert run_main(*argv) == (2, "", message)
         assert os.listdir("fit") == []
+
+
+@pytest.mark.parametrize("command", ["train", "curves rss_distance"])
+def test_huge_int_learning_rate_trains_as_its_float(tmp_path, command):
+    """rbf.tau_mu = 2**70 is a valid rate: it trains as the float it rounds
+    to, with the same stdout and files (the provenance line aside)."""
+    name, *rest = command.split()
+    runs = []
+    for tau_mu in (2**70, float(2**70)):
+        cfg = fuzz_config()
+        cfg["rbf"]["tau_mu"] = tau_mu
+        run_dir = tmp_path / type(tau_mu).__name__
+        run_dir.mkdir()
+        with contextlib.chdir(run_dir):
+            write_json(Path("environments.json"), ENVIRONMENTS)
+            write_json(Path("run.json"), cfg)
+            assert run_main("generate", "--config", "run.json")[0] == 0
+            argv = [name, *rest, "--config", "run.json", "--out", "fit"]
+            argv += ["out/dataset.csv"] if name == "train" else []
+            code, stdout, stderr = run_main(*argv)
+            assert (code, stderr) == (0, "")
+            files = {
+                path.name: [
+                    line for line in path.read_text(encoding="utf-8").splitlines()
+                    if "config_sha256=" not in line
+                ]
+                for path in sorted(Path("fit").iterdir())
+            }
+        runs.append((stdout, files))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("count", [2**63, 2**70], ids=["2^63", "2^70"])
+def test_rician_grid_past_numpy_sizes_exits_1(tmp_path, env_file, count):
+    cfg = base_run_config(env_file)
+    cfg["curves"]["rician_points"] = count
+    write_json(tmp_path / "run.json", cfg)
+    with contextlib.chdir(tmp_path):
+        code, stdout, stderr = run_main("curves", "rician", "--config", "run.json")
+    message = f"error: cannot allocate a grid of {count} points\n"
+    assert (code, stdout, stderr) == (1, "", message)
 
 
 class TestScenarioBlock:
@@ -676,7 +784,12 @@ class TestScenarioBlock:
         scenario = {"kind": "distance_sweep", "distances_m": [1e12]}
         code, stdout, stderr = run(scenario, "generate", plos_model="product")
         assert code == 2 and stdout == ""
-        assert stderr.startswith("error: row 0: r=1000000000000.0: m + 1 = ")
+        line = Path("run.json").read_text(encoding="utf-8").splitlines().index(
+            '  "scenario": {'
+        ) + 1
+        assert stderr.startswith(
+            f"error: run.json:{line}: scenario: row 0: r=1000000000000.0: m + 1 = "
+        )
         assert stderr.endswith(" buildings on the path, over 10^6\n")
 
     def test_allocation_past_any_address_space_exits_1(self, run):
@@ -972,6 +1085,7 @@ def test_fuzzed_csv_never_escapes(small_run, features, mutation, line, column, v
             if code:
                 assert len(stderr.splitlines()) == 1
                 assert stderr.startswith("error: ")
+                assert not any(text in stderr for text in RAW_PYTHON), stderr
             if argv[0] == "train" and rejected:
                 assert (code, stdout, stderr) == rejected
 

@@ -1,5 +1,5 @@
-"""errors.require: the one range check behind every value object, and its
-fast-path form for the per-row channel inputs."""
+"""errors.require: the one range check behind every value object and every
+scalar input of the per-row channel functions."""
 
 from __future__ import annotations
 
@@ -85,3 +85,33 @@ def test_per_row_functions_take_only_finite_numbers(function, value, urban):
 def test_per_row_functions_read_any_real_as_its_float(function, kind, urban):
     _, number, call = PER_ROW[function]
     assert call(urban, kind(number)) == call(urban, float(number))
+
+
+# One range fault of each per-row function, by name: (the argument's value as
+# a whole number, the error's text, a call of the function on v).
+PER_ROW_RANGE = {
+    "HataParams f_mhz": (0, "f_mhz must be > 0, got 0.0", lambda env, v: HataParams(v, 50.0, 1.5)),
+    "HataParams h_b": (0, "h_b must be > 0, got 0.0", lambda env, v: HataParams(900.0, v, 1.5)),
+    "HataParams h_m": (0, "h_m must be > 0, got 0.0", lambda env, v: HataParams(900.0, 50.0, v)),
+    "hata_path_loss": (
+        0, "d_km must be > 0, got 0.0",
+        lambda env, v: hata_path_loss(HataParams(900.0, 50.0, 1.5), v),
+    ),
+    "plos_holis": (91, "theta_deg must be in [0, 90], got 91.0", lambda env, v: plos_holis(env, v)),
+    "plos_sigmoid": (
+        91, "theta_deg must be in [0, 90], got 91.0", lambda env, v: plos_sigmoid(env, v),
+    ),
+    "plos_product r": (
+        -1, "r must be >= 0, got -1.0", lambda env, v: plos_product(env, 100.0, 1.5, v),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", [int, np.float64])
+@pytest.mark.parametrize("function", PER_ROW_RANGE)
+def test_per_row_range_faults_name_the_float(function, kind, urban):
+    number, message, call = PER_ROW_RANGE[function]
+    with pytest.raises(DomainError) as excinfo:
+        call(urban, kind(number))
+    assert type(excinfo.value) is DomainError
+    assert str(excinfo.value) == message

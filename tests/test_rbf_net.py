@@ -914,6 +914,14 @@ class TestConfigValidation:
         assert RbfConfig(tau_mu=0.07).effective_tau_delta == 0.07
         assert RbfConfig(tau_mu=0.07, tau_delta=0.01).effective_tau_delta == 0.01
 
+    def test_given_rates_are_kept_as_floats(self):
+        config = RbfConfig(tau_w=1, tau_mu=2**70, tau_delta=np.float64(0.5), seed=np.int64(3))
+        rates = (config.tau_w, config.tau_mu, config.tau_delta)
+        assert [type(rate) for rate in rates] == [float] * 3
+        assert rates == (1.0, float(2**70), 0.5)
+        assert type(config.seed) is np.int64  # an "int" rule keeps the value as given
+        assert RbfConfig(tau_mu=1).tau_delta is None  # the config echo keeps its null
+
 
 class TestPersistence:
     def test_round_trip_is_value_exact(self, tmp_path):
