@@ -166,10 +166,10 @@ def _load_environments(cfg: RunConfig) -> dict[str, cm.Environment]:
     if not isinstance(env_file, str):
         raise cfg.fail("environment_file", f"must be a string, got {env_file!r}")
     env_file = os.path.join(os.path.dirname(os.path.abspath(cfg.path)), env_file)
-    if not os.path.exists(env_file):
+    if not os.path.isfile(env_file):  # a directory passes os.path.exists
+        state = "is not a file" if os.path.exists(env_file) else "does not exist"
         raise ConfigurationError(
-            f"{cfg.where('environment_file')}: environment file "
-            f"{env_file!r} does not exist"
+            f"{cfg.where('environment_file')}: environment file {env_file!r} {state}"
         )
     return cm.load_environments(env_file)
 
@@ -500,9 +500,8 @@ def _curve_rss(cfg: RunConfig, args, out: str):
     metadata, columns = _scenario_columns(cfg, kind)
     import numpy as np  # not before the scenario's rows: that raises the peak RSS
 
-    n = len(columns[0])  # the features_targets arrays, D_m to PL_dB and RSS_dBm
-    x = np.column_stack([np.broadcast_to(column, n) for column in columns[2:6]])
-    y = np.array(columns[7]).reshape(n, 1)
+    x = np.column_stack(columns[2:6])  # the features_targets arrays, D_m to PL_dB
+    y = np.array(columns[7]).reshape(-1, 1)  # and RSS_dBm
     model_path = os.path.join(out, "model.json")  # train's, if fit the same way
     net, _, report, _ = _train_model(cfg, x, y, model_path)
     header = [datagen.CSV_HEADER[2 + axis], "rss_empirical_dbm", "rss_predicted_dbm"]
@@ -579,7 +578,8 @@ def main(argv=None) -> int:
     _setup_logging()
     try:
         return args.func(args)
-    except (SchemaError, ConfigurationError, DomainError, FileNotFoundError) as exc:
+    except (SchemaError, ConfigurationError, DomainError, FileNotFoundError,
+            IsADirectoryError) as exc:  # a missing path, or a directory, is usage
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SkylinkError, OSError, MemoryError) as exc:

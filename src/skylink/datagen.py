@@ -298,11 +298,6 @@ def budget_from_dict(data: dict) -> LinkBudget:
     return LinkBudget(**{**data, "fading": spec})
 
 
-def _rows(column, n: int):
-    """A dataset column row by row: a list or range as it is, one value n times."""
-    return column if isinstance(column, (list, range)) else itertools.repeat(column, n)
-
-
 def _columns(
     scenario: str,
     env: cm.Environment,
@@ -320,10 +315,9 @@ def _columns(
     or an altitude_waypoints (altitudes, r_ground) dataset.
 
     The metadata's key order is the sidecar's bytes: scenario, environment,
-    layout, then the shared keys. A column that holds one value for every row
-    (the scenario, F_MHz and the fixed H_m or D_m) is that value. RSS and the
-    error of the first row whose RSS is not finite, prefixed "row {i}: ", are
-    rss_from_path_loss's.
+    layout, then the shared keys. Every column has one entry per row: the
+    index is range(n), the others are lists. RSS and the error of the first
+    row whose RSS is not finite, prefixed "row {i}: ", are rss_from_path_loss's.
     """
     from . import channel_models as cm
 
@@ -334,7 +328,7 @@ def _columns(
         if any(b <= a for a, b in zip(distances, distances[1:])):
             raise ConfigurationError("distances must be strictly increasing")
         layout = {"h_m": float(h_fixed), "distances_m": [float(d) for d in distances]}
-        d_m, h_m = layout["distances_m"], layout["h_m"]  # H_m: one value
+        d_m, h_m = layout["distances_m"], [layout["h_m"]] * len(distances)
     else:
         if altitudes is None:
             altitudes = list(DEFAULT_ALTITUDES_M)
@@ -346,7 +340,7 @@ def _columns(
         layout = {
             "altitudes_m": [float(h) for h in altitudes], "r_ground_m": float(r_ground),
         }
-        d_m, h_m = layout["r_ground_m"], layout["altitudes_m"]  # D_m: one value
+        d_m, h_m = [layout["r_ground_m"]] * len(altitudes), layout["altitudes_m"]
     require(ConfigurationError, {"rx_height_m": "finite and >= 0"}, locals())
     budget = LinkBudget() if budget is None else budget
     metadata = {
@@ -359,28 +353,27 @@ def _columns(
         "rx_height_m": float(rx_height_m),
         "budget": _budget_to_dict(budget),
     }
-    n = len(d_m if isinstance(d_m, list) else h_m)
+    n = len(d_m)
     path_loss, plos = cm._channel_rows(
-        env, zip(_rows(h_m, n), _rows(d_m, n)), f_mhz, pl_model, plos_model, rx_height_m
+        env, zip(h_m, d_m), f_mhz, pl_model, plos_model, rx_height_m
     )
-    draws = list(_fading_draws_db(budget, n))  # zeros when off: x - 0.0 is x
+    draws = _fading_draws_db(budget, n)  # zeros when off: x - 0.0 is x
     gain = budget.tx_power_dbm + budget.tx_gain_dbi + budget.rx_gain_dbi
     rss = list(map(operator.sub, map(operator.sub, itertools.repeat(gain), path_loss),
                    draws))  # (gain - pl) - draw, rss_from_path_loss's order
     if not all(map(math.isfinite, rss)):
         i = next(i for i, value in enumerate(rss) if not math.isfinite(value))
         try:
-            rss_from_path_loss(budget, path_loss[i], draws[i])
+            rss_from_path_loss(budget, path_loss[i], fading_draw_db(budget, i))
         except DomainError as exc:
             raise DomainError(f"row {i}: {exc}") from None
-    return metadata, (range(n), scenario, d_m, h_m, float(f_mhz), path_loss, plos, rss)
+    columns = [scenario] * n, d_m, h_m, [float(f_mhz)] * n, path_loss, plos, rss
+    return metadata, (range(n), *columns)
 
 
 def _dataset(metadata: dict, columns: tuple) -> Dataset:
     """The Dataset of _columns' metadata and columns: one Sample per row."""
-    n = len(columns[0])
-    samples = list(map(Sample, *(_rows(column, n) for column in columns)))
-    return Dataset(samples, metadata)
+    return Dataset(list(map(Sample, *columns)), metadata)
 
 
 def gen_distance_sweep(
@@ -566,17 +559,12 @@ _FIELDS = (
 
 
 def _write_columns(csv_path: str, metadata: dict, columns: tuple) -> str:
-    """Write dataset columns, as _columns returns them, and the metadata sidecar;
-    returns the sidecar path. A one-value column's text is made once. Floats
-    are written in repr form (shortest exact round-trip), line endings are
-    line feeds; the bytes are csv.writer's but for a quoted CR.
+    """Write dataset columns, one entry per row as _columns returns them, and
+    the metadata sidecar; returns the sidecar path. Floats are written in repr
+    form (shortest exact round-trip), line endings are line feeds; the bytes
+    are csv.writer's but for a quoted CR.
     """
-    n = len(columns[0])
-    cells = [
-        fmt(column) if isinstance(column, (list, range))
-        else itertools.repeat(next(fmt([column])), n)
-        for fmt, column in zip(_FIELDS, columns)
-    ]
+    cells = [fmt(column) for fmt, column in zip(_FIELDS, columns)]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(CSV_HEADER) + "\n")
         fh.writelines(
@@ -595,8 +583,7 @@ def write_dataset(dataset: Dataset, csv_path: str) -> str:
     samples go to the row formatter as columns: index as str(), the floats as
     repr(float())."""
     rows = map(operator.attrgetter(*(f.name for f in fields(Sample))), dataset.samples)
-    columns = [list(column) for column in zip(*rows)] or [[]] * len(CSV_HEADER)
-    return _write_columns(csv_path, dataset.metadata, columns)
+    return _write_columns(csv_path, dataset.metadata, zip(*rows))
 
 
 def _csv_rows(path: str, parse, *headers: list[str]):

@@ -582,6 +582,18 @@ def json_leaves(node, path=()):
         yield path
 
 
+def json_nodes(node, path=()):
+    """Paths to the objects and lists of a JSON document, the root left out,
+    and to its "kind" keys."""
+    if isinstance(node, (dict, list)):
+        if path:
+            yield path
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_nodes(value, path + (key,))
+    elif path[-1] == "kind":
+        yield path
+
+
 def fuzz_config():
     """A run config small enough to run every command in a few milliseconds."""
     cfg = base_run_config("environments.json")
@@ -608,19 +620,26 @@ def fuzz_bases():
 
 
 FUZZ_BASES = fuzz_bases()
-# (base, document, path): each leaf of each base config and of the selected
-# environment
-FUZZ_LEAVES = [
-    (base, document, path)
-    for base, cfg in enumerate(FUZZ_BASES)
-    for document, node in (("config", cfg), ("environment", ENVIRONMENTS[1]))
-    for path in json_leaves(node)
-]
+# (base, document, path): each leaf, or node, of each base config and of the
+# selected environment, entry 1
+FUZZ_LEAVES, FUZZ_NODES = (
+    [
+        (base, document, path)
+        for base, cfg in enumerate(FUZZ_BASES)
+        for document, node in (("config", cfg), (1, ENVIRONMENTS[1]))
+        for path in paths(node)
+    ]
+    for paths in (json_leaves, json_nodes)
+)
 HUGE_INT = 2**70  # valid for rbf.epochs too, which then trains for ever
 # test_value_that_is_no_float_names_its_key puts 2**1100 in each kind of number.
 FUZZ_VALUES = [
     None, True, "x", -1, 0, 2.5, math.nan, math.inf, -math.inf, [], {},
     1e308, -1e308, 5e-324, [1e308], HUGE_INT,
+]
+# Whole nodes: a wrong type, an empty or unknown block, lists of wrong entries
+NODE_VALUES = [
+    None, True, "x", 0, 1e308, [], {}, [None], ["x"], [1e308], {"x": 1}, {"kind": "x"},
 ]
 FUZZ_COMMANDS = [
     ["generate"], ["train", "out/dataset.csv"], ["curves", "rician"],
@@ -630,6 +649,37 @@ FUZZ_COMMANDS = [
 RAW_PYTHON = (
     "object has no attribute", "is not iterable", "unexpected keyword", "py.warnings",
 )
+
+
+def assert_exits_cleanly(code, stderr):
+    """Exit 0, 1 or 2; a non-zero exit with one `error:` line that holds no
+    raw Python text."""
+    assert code in (0, 1, 2)
+    if code:
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: ")
+        assert not any(text in stderr for text in RAW_PYTHON), stderr
+
+
+def run_fuzzed(cfg, envs, commands):
+    """Each of ``commands`` with --config on cfg and envs, in a new directory."""
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        write_json(Path("environments.json"), envs)
+        write_json(Path("run.json"), cfg)
+        for command, *rest in commands:
+            code, _, stderr = run_main(command, "--config", "run.json", *rest)
+            assert_exits_cleanly(code, stderr)
+
+
+def fuzzed(base, document, path, value):
+    """(config, environments): FUZZ_BASES[base] and ENVIRONMENTS, with value at
+    path in the config, or in the environment entry numbered document."""
+    cfg, envs = copy.deepcopy(FUZZ_BASES[base]), copy.deepcopy(ENVIRONMENTS)
+    node = cfg if document == "config" else envs[document]
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    return cfg, envs
 
 
 @settings(max_examples=200, deadline=None)
@@ -642,23 +692,16 @@ def test_fuzzed_config_leaf_never_escapes(leaf, value):
     environment gives. Either ends in one `error:` line that holds no raw
     Python text; no exception escapes.
     """
-    base, document, path = leaf
-    assume(not (path == ("rbf", "epochs") and value == HUGE_INT))
-    cfg, envs = copy.deepcopy(FUZZ_BASES[base]), copy.deepcopy(ENVIRONMENTS)
-    node = cfg if document == "config" else envs[1]
-    for part in path[:-1]:
-        node = node[part]
-    node[path[-1]] = value
-    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        write_json(Path("environments.json"), envs)
-        write_json(Path("run.json"), cfg)
-        for command, *rest in FUZZ_COMMANDS:
-            code, _, stderr = run_main(command, "--config", "run.json", *rest)
-            assert code in (0, 1, 2)
-            if code:
-                assert len(stderr.splitlines()) == 1
-                assert stderr.startswith("error: ")
-                assert not any(text in stderr for text in RAW_PYTHON), stderr
+    assume(not (leaf[2] == ("rbf", "epochs") and value == HUGE_INT))
+    run_fuzzed(*fuzzed(*leaf, value), FUZZ_COMMANDS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(FUZZ_NODES), st.sampled_from(NODE_VALUES))
+def test_fuzzed_config_node_never_escapes(node, value):
+    """A whole block, list or kind of a run config or environment entry put
+    wrong ends as a wrong leaf does, in curves plos_angle too."""
+    run_fuzzed(*fuzzed(*node, value), [*FUZZ_COMMANDS, ["curves", "plos_angle"]])
 
 
 @pytest.mark.parametrize("command", ["train", "curves rss_distance"])
@@ -1081,11 +1124,7 @@ def test_fuzzed_csv_never_escapes(small_run, features, mutation, line, column, v
             rejected = (2, "", f"error: {exc}\n")
         for argv in csv_commands(small_run, path, tmp):
             code, stdout, stderr = run_main(*argv)
-            assert code in (0, 1, 2)
-            if code:
-                assert len(stderr.splitlines()) == 1
-                assert stderr.startswith("error: ")
-                assert not any(text in stderr for text in RAW_PYTHON), stderr
+            assert_exits_cleanly(code, stderr)
             if argv[0] == "train" and rejected:
                 assert (code, stdout, stderr) == rejected
 
@@ -1127,6 +1166,26 @@ def test_non_utf8_file_exits_2(small_run, tmp_path, target):
         assert (code, stdout) == (2, ""), argv
         assert len(stderr.splitlines()) == 1, argv
         assert stderr.startswith(f"error: {bad}: 'utf-8' codec can't decode"), argv
+
+
+@pytest.mark.parametrize("command, message", [
+    (command, "[Errno 21] Is a directory: '{dir}'") for command in (
+        "train --config run.json {dir}", "eval {model} {dir}",
+        "predict {dir} --row 1,2,3,4", "predict {model} --input {dir}",
+        "train --config {dir} out/dataset.csv",
+    )
+] + [(
+    "generate --config {dir}/run.json",
+    "{dir}/run.json:2: environment file '{dir}/.' is not a file",
+)])
+def test_path_that_is_a_directory_exits_2(small_run, tmp_path, command, message):
+    """A directory where a file belongs is a usage fault, as a missing path
+    is: exit 2 and one `error:` line. An environment file names its key's line."""
+    write_json(tmp_path / "run.json", {**fuzz_config(), "environment_file": "."})
+    argv = command.format(dir=tmp_path, model="out/model.json").split()
+    with contextlib.chdir(small_run):
+        code, stdout, stderr = run_main(*argv)
+    assert (code, stdout, stderr) == (2, "", f"error: {message.format(dir=tmp_path)}\n")
 
 
 MODEL_ARRAYS = [
@@ -1209,6 +1268,59 @@ def test_model_command_input_errors_exit_2(small_run, tmp_path, command, edit, m
     dataset = [str(small_run / "out" / "dataset.csv")] if name == "eval" else []
     code, stdout, stderr = run_main(name, str(model), *dataset, *rest)
     assert (code, stdout, stderr) == (2, "", f"error: {message.format(model=model)}\n")
+
+
+MODEL_FIELDS = ["format_version", "config.m_hidden", "config.input_dim",
+                "config.output_dim", *MODEL_ARRAYS]
+# Numbers near and past the limits a model's loader and predictions meet
+MODEL_VALUES = [
+    None, True, "x", -1, 0, 2.5, 1e-7, 5e-324, -5e-324, 1e308, -1e308, HUGE_INT,
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(MODEL_FIELDS), st.sampled_from(MODEL_VALUES), st.booleans())
+def test_fuzzed_model_number_never_escapes(small_run, field, value, whole):
+    """A model.json number put wrong, a whole array's or its last entry's,
+    ends in an exit code through predict --row, predict --input and eval."""
+    doc = json.loads((small_run / "out" / "model.json").read_text(encoding="utf-8"))
+    *block, key = field.split(".")
+    node = doc[block[0]] if block else doc
+    while isinstance(node[key], list) and not whole:
+        node, key = node[key], -1
+    node[key] = value
+    dataset = str(small_run / "out" / "dataset.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        model = os.path.join(tmp, "model.json")
+        write_json(Path(model), doc)
+        for argv in (
+            ["predict", model, "--row", "1000,100,2000,100"],
+            ["predict", model, "--input", dataset], ["eval", model, dataset],
+        ):
+            code, _, stderr = run_main(*argv)
+            assert_exits_cleanly(code, stderr)
+
+
+# (entry, path): each leaf of each environment entry, and its whole c and sigmoid
+ENV_FIELDS = [
+    (entry, path) for entry, env in enumerate(ENVIRONMENTS)
+    for paths in (json_leaves, json_nodes) for path in paths(env)
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(range(len(FUZZ_BASES))), st.sampled_from(ENV_FIELDS),
+    st.sampled_from(FUZZ_VALUES),
+)
+def test_fuzzed_environment_value_never_escapes(base, field, value):
+    """A value of any entry of the environment file put wrong ends in an exit
+    code under each base's P_LoS model; the curves of every environment read
+    each entry, the selected one or not."""
+    run_fuzzed(*fuzzed(base, *field, value), [
+        ["generate"], ["curves", "plos_angle"], ["curves", "plos_fit"],
+        ["curves", "rss_distance"],
+    ])
 
 
 @pytest.mark.parametrize("name", ["out/dataset.csv", "features.csv"])
